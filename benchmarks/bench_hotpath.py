@@ -2,7 +2,7 @@
 
 Times the three relaxation-wave primitives (scatter-min, frontier dedup, edge
 gather) at frontier sizes from 1e3 to 1e6, plus end-to-end PQ-rho / PQ-delta
-runs on the GE/TW stand-ins with tuned dispatch vs
+runs on the GE/TW stand-ins with adaptive dispatch vs
 :func:`repro.runtime.kernels.fallback_mode` (the pre-kernel idioms).  The
 end-to-end comparison also asserts both modes execute the identical step
 sequence — the kernels must only move wall clock, never counts.
@@ -121,7 +121,7 @@ def bench_micro(sizes: list[int], repeats: int) -> list[dict]:
 
 
 def bench_e2e(scale: str, repeats: int) -> list[dict]:
-    """Full PQ-rho / PQ-delta runs, fallback idioms vs tuned kernels."""
+    """Full PQ-rho / PQ-delta runs, fallback idioms vs adaptive kernels."""
     rows = []
     for gname, label, fn in E2E_CASES:
         g = load_dataset(gname, scale)

@@ -69,7 +69,7 @@ def bench_graph(gname: str, scale: str, num_pairs: int, num_sources: int) -> dic
     landmarks = build_landmarks(graph, L, algo="rho", param=SCALAR_RHO)
     landmark_s = time.perf_counter() - t0
     t0 = time.perf_counter()
-    hubs = build_hub_labels(graph)
+    hubs = build_hub_labels(graph, landmarks)
     hub_s = time.perf_counter() - t0
     index = LabelIndex(
         graph,

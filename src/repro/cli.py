@@ -320,6 +320,7 @@ def _cmd_partition(args) -> int:
 
 def _cmd_serve(args) -> int:
     import asyncio
+    import signal
 
     from repro.serving import QueryEngine, ShortestPathServer, serve_tcp
 
@@ -338,15 +339,39 @@ def _cmd_serve(args) -> int:
     print(f"serving {args.algo} on {args.graph} at {args.host}:{args.port} "
           f"(B={args.max_batch}, T={args.max_delay * 1e3:.1f} ms, "
           f"queue<={args.max_queue})", file=sys.stderr)
+
+    async def serve_until_signalled() -> None:
+        # SIGTERM and SIGINT both cancel this task, so serve_tcp drains and
+        # returns.  Installing SIGINT here too (not relying on the default
+        # KeyboardInterrupt) covers a server started in the background from
+        # a non-interactive shell, which inherits SIGINT as ignored.
+        loop = asyncio.get_running_loop()
+        task = asyncio.current_task()
+        stopping = False
+
+        def stop() -> None:
+            nonlocal stopping
+            if not stopping:  # a second signal must not cut the drain short
+                stopping = True
+                task.cancel()
+
+        for sig in (signal.SIGINT, signal.SIGTERM):
+            loop.add_signal_handler(sig, stop)
+        try:
+            await serve_tcp(server, args.host, args.port)
+        except asyncio.CancelledError:  # signalled before the listener was up
+            pass
+
+    prior = {sig: signal.getsignal(sig) for sig in (signal.SIGINT, signal.SIGTERM)}
     try:
         with engine:
-            # Ctrl-C lands differently by Python version: 3.11+'s Runner
-            # cancels the serve task (serve_tcp drains and *returns*), while
-            # older interpreters re-raise KeyboardInterrupt here.  Both are
-            # the same operator action, so both get the same farewell.
-            asyncio.run(serve_tcp(server, args.host, args.port))
-    except KeyboardInterrupt:
+            asyncio.run(serve_until_signalled())
+    except KeyboardInterrupt:  # Ctrl-C before the event loop started
         pass
+    finally:
+        for sig, handler in prior.items():
+            if handler is not None:  # None: installed outside Python
+                signal.signal(sig, handler)
     print("interrupted; server stopped", file=sys.stderr)
     return 0
 
@@ -496,7 +521,7 @@ def _cmd_build_labels(args) -> int:
         algo=args.algo, param=args.param, shortcut_rho=args.shortcut_rho,
         seed=args.seed,
     )
-    hubs = build_hub_labels(g, seed=args.seed) if args.hubs else None
+    hubs = build_hub_labels(g, landmarks, seed=args.seed) if args.hubs else None
     bundle = LabelBundle(
         fingerprint=g.fingerprint, landmarks=landmarks, hubs=hubs,
         meta={"graph": args.graph},
@@ -534,10 +559,10 @@ def _cmd_query(args) -> int:
     if args.labels:
         bundle = load_labels(args.labels, graph=g)
     else:
+        landmarks = build_landmarks(g, min(args.landmarks, g.n), seed=args.seed)
         bundle = LabelBundle(
-            fingerprint=g.fingerprint,
-            landmarks=build_landmarks(g, min(args.landmarks, g.n), seed=args.seed),
-            hubs=build_hub_labels(g, seed=args.seed),
+            fingerprint=g.fingerprint, landmarks=landmarks,
+            hubs=build_hub_labels(g, landmarks, seed=args.seed),
         )
     index = LabelIndex(g, bundle, algo=args.algo, param=args.param, seed=args.seed)
     t0 = time.perf_counter()

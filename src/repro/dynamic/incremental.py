@@ -53,6 +53,7 @@ from repro.core.framework import SteppingOptions, stepping_sssp
 from repro.core.result import SSSPResult
 from repro.dynamic.updates import ResolvedUpdates
 from repro.graphs.csr import Graph
+from repro.graphs.paths import spt_parents
 from repro.obs import OBS
 from repro.utils.errors import ParameterError
 
@@ -68,18 +69,10 @@ def affected_cone(graph: Graph, dist: np.ndarray, source: int) -> np.ndarray:
     over the warm shortest-path tree, run as pointer jumping.
     """
     n = graph.n
-    es, ix, w = graph.edge_sources, graph.indices, graph.weights
     finite = np.isfinite(dist)
-    du, dv = dist[es], dist[ix]
-    # dist[u] < dist[v] (not just tightness) keeps the parent forest acyclic
-    # even when a tiny weight is absorbed by rounding (du + w == du).
-    tight = finite[es] & finite[ix] & (du + w == dv) & (du < dv)
-    parent = np.full(n, n, dtype=np.int64)  # sentinel n = no tight in-edge
-    np.minimum.at(parent, ix[tight], es[tight])
-    idx = np.arange(n, dtype=np.int64)
-    direct = finite & (parent == n)
+    par = spt_parents(graph.edge_sources, graph.indices, graph.weights, dist)
+    direct = finite & (par == np.arange(n, dtype=np.int64))  # no tight in-edge
     direct[source] = False
-    par = np.where(parent < n, parent, idx)  # roots self-loop
     aff = direct.copy()
     # Pointer jumping: after k rounds every vertex sees ancestors within
     # 2^k hops; parents strictly decrease dist, so chains end at a root.

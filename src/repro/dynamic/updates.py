@@ -249,34 +249,58 @@ def resolve_updates(graph: Graph, batch: UpdateBatch) -> ResolvedUpdates:
 
 
 def apply_resolved(graph: Graph, resolved: ResolvedUpdates) -> Graph:
-    """Rebuild the CSR with ``resolved`` applied; returns a new Graph.
+    """Patch the CSR with ``resolved`` applied; returns a new Graph.
 
-    Returns ``graph`` itself when the delta is empty (no CSR change, same
-    fingerprint, same object — callers use identity to detect no-ops).
+    The CSR is already sorted by ``(u, v)`` and a batch touches few edges,
+    so nothing is re-sorted: the touched slots are found by ``searchsorted``
+    and dropped by mask, each surviving insert or reweight is spliced in at
+    its ``searchsorted`` position among the kept keys, and ``indptr`` is
+    rebuilt from the per-row counts — O(m) copying, bit-identical to
+    re-sorting the whole edge list.  Returns ``graph`` itself when the delta
+    is empty (no CSR change, same fingerprint, same object — callers use
+    identity to detect no-ops).
     """
     if resolved.size == 0:
         return graph
     n = graph.n
-    src, dst, w = graph.edges()
-    keys = src * np.int64(n) + dst
+    keys = graph.edge_sources * np.int64(n) + graph.indices
+    dst, weights = graph.indices, graph.weights
+    if keys.size > 1 and not np.all(keys[1:] >= keys[:-1]):
+        # Non-canonical CSR (rows not target-sorted): sort a copy first.
+        order = np.argsort(keys, kind="stable")
+        keys, dst, weights = keys[order], dst[order], weights[order]
     touched = resolved.u * np.int64(n) + resolved.v  # sorted by construction
-    lo = np.searchsorted(touched, keys)
-    lo_c = np.minimum(lo, resolved.size - 1)
-    keep = ~((lo < resolved.size) & (touched[lo_c] == keys))
+    # Every existing copy of a touched edge goes (deleted, or replaced by
+    # its new weight below): slots lo[i] .. lo[i] + copies[i] - 1.
+    lo = np.searchsorted(keys, touched, side="left")
+    copies = np.searchsorted(keys, touched, side="right") - lo
+    drop = np.repeat(lo - np.cumsum(copies) + copies, copies)
+    drop += np.arange(len(drop))
     live = np.isfinite(resolved.new_w)
-    src = np.concatenate([src[keep], resolved.u[live]])
-    dst = np.concatenate([dst[keep], resolved.v[live]])
-    w = np.concatenate([w[keep], resolved.new_w[live]])
-    order = np.lexsort((dst, src))
-    src, dst, w = src[order], dst[order], w[order]
-    counts = np.bincount(src, minlength=n).astype(_INDEX_DTYPE)
+    # A new edge lands after every kept key below it: its position among
+    # all keys, minus the dropped slots before that, plus the new edges
+    # spliced in ahead of it.
+    pos = lo[live]
+    slot = pos - np.searchsorted(drop, pos) + np.arange(len(pos))
+    keep = np.ones(len(keys), dtype=bool)
+    keep[drop] = False
+    is_new = np.zeros(len(keys) - len(drop) + len(slot), dtype=bool)
+    is_new[slot] = True
+    out_dst = np.empty(len(is_new), dtype=_INDEX_DTYPE)
+    out_w = np.empty(len(is_new), dtype=_WEIGHT_DTYPE)
+    out_dst[slot], out_w[slot] = resolved.v[live], resolved.new_w[live]
+    old = ~is_new
+    out_dst[old], out_w[old] = dst[keep], weights[keep]
+    counts = np.diff(graph.indptr)
+    counts -= np.bincount(resolved.u, weights=copies, minlength=n).astype(_INDEX_DTYPE)
+    counts += np.bincount(resolved.u[live], minlength=n)
     indptr = np.zeros(n + 1, dtype=_INDEX_DTYPE)
     np.cumsum(counts, out=indptr[1:])
     if OBS.enabled:
         OBS.registry.inc("dynamic.apply.batches")
         OBS.registry.inc("dynamic.apply.edges_changed", resolved.size)
     return Graph(
-        indptr=indptr, indices=dst, weights=w,
+        indptr=indptr, indices=out_dst, weights=out_w,
         directed=graph.directed, name=graph.name,
     )
 

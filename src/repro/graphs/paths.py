@@ -21,6 +21,7 @@ __all__ = [
     "extract_path",
     "predecessors",
     "shortest_path_tree",
+    "spt_parents",
     "verify_sssp",
 ]
 
@@ -92,6 +93,28 @@ def predecessors(graph: Graph, source: int, dist: np.ndarray) -> np.ndarray:
     pred[child[order[::-1]]] = parent[order[::-1]]
     pred[source] = -1
     return pred
+
+
+def spt_parents(
+    edge_src: np.ndarray, edge_dst: np.ndarray, weights: np.ndarray, dist: np.ndarray
+) -> np.ndarray:
+    """The exact tight-edge parent forest of ``dist``, vectorised.
+
+    ``parent[v]`` is the minimum-id ``u`` over edges ``u -> v`` with
+    ``dist[u] + w == dist[v]`` and ``dist[u] < dist[v]`` — the latter (not
+    just tightness) keeps the forest acyclic even when a tiny weight is
+    absorbed by rounding (``du + w == du``).  Vertices with no such edge
+    (the source, unreachable vertices, vertices whose warm distance lost
+    its certificate) are roots and point at themselves.  Pass the edge
+    arrays swapped to get the in-tree of a ``v -> target`` distance vector.
+    """
+    n = len(dist)
+    finite = np.isfinite(dist)
+    du, dv = dist[edge_src], dist[edge_dst]
+    tight = finite[edge_src] & finite[edge_dst] & (du + weights == dv) & (du < dv)
+    parent = np.full(n, n, dtype=np.int64)  # sentinel n = no tight in-edge
+    np.minimum.at(parent, edge_dst[tight], edge_src[tight])
+    return np.where(parent < n, parent, np.arange(n, dtype=np.int64))
 
 
 def extract_path(graph: Graph, source: int, target: int, dist: np.ndarray) -> list[int]:

@@ -51,7 +51,12 @@ from repro.serving.fastpath import multi_source_distances
 from repro.serving.faults import get_injector
 from repro.utils.errors import LabelFormatError, ParameterError
 
-__all__ = ["LandmarkTable", "build_landmarks", "select_landmarks"]
+__all__ = [
+    "LandmarkTable",
+    "build_landmarks",
+    "require_integer_weights",
+    "select_landmarks",
+]
 
 STRATEGIES = ("farthest", "degree")
 
@@ -206,6 +211,25 @@ class LandmarkTable:
         return up
 
 
+def require_integer_weights(graph: Graph) -> None:
+    """Refuse a graph with a weight that is not integer-valued.
+
+    Label answers are exact only because integer path sums are exact in
+    float64 whatever the summation order (DESIGN §14); a fractional weight
+    voids that, so the label builders check it where the graph enters.
+    Raises :class:`ParameterError` naming the first offending edge.
+    """
+    w = graph.weights
+    bad = np.flatnonzero(w != np.floor(w))
+    if bad.size:
+        e = int(bad[0])
+        raise ParameterError(
+            f"label tables need integer-valued edge weights: edge {e} "
+            f"({int(graph.edge_sources[e])} -> {int(graph.indices[e])}) "
+            f"has weight {float(w[e])!r}"
+        )
+
+
 def select_landmarks(
     graph: Graph, num_landmarks: int, *, strategy: str = "farthest", seed=0
 ) -> np.ndarray:
@@ -276,9 +300,12 @@ def build_landmarks(
     over the transposed CSR for the ``v -> landmark`` side.
 
     Fires the ``labels.build`` fault site once per build (before any work),
-    so chaos tests can fail or corrupt builds deterministically.
+    so chaos tests can fail or corrupt builds deterministically.  A graph
+    with a non-integer weight is refused first
+    (:func:`require_integer_weights`).
     """
     t0 = time.perf_counter()
+    require_integer_weights(graph)
     injector = get_injector()
     directive = injector.fire("labels.build")
     landmarks = select_landmarks(graph, num_landmarks, strategy=strategy, seed=seed)

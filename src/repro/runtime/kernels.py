@@ -17,8 +17,7 @@ array plus ``flatnonzero`` costs O(k + n/w); the textbook gather recomputes
 ``cumsum`` + two ``np.repeat`` passes per wave where one repeat plus cached
 degrees suffice.  Which variant wins depends on the batch size, the universe
 size, and the NumPy build — so this module centralises all of them behind
-adaptive dispatch whose crossover points come from a one-time :func:`autotune`
-(or conservative defaults when autotuning is disabled).
+adaptive dispatch with fixed crossover points (:func:`thresholds`).
 
 Two supporting pieces:
 
@@ -40,10 +39,8 @@ against golden snapshots in ``tests/core/test_kernel_regression.py``.
 
 from __future__ import annotations
 
-import os
-import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,7 +49,6 @@ from repro.obs import OBS
 __all__ = [
     "KernelThresholds",
     "Workspace",
-    "autotune",
     "fallback_mode",
     "first_occurrence",
     "gather_edges",
@@ -71,20 +67,21 @@ _FLOAT = np.float64
 
 
 # --------------------------------------------------------------------------- #
-# Dispatch thresholds + one-time autotune
+# Dispatch thresholds
 # --------------------------------------------------------------------------- #
 
 
-@dataclass
+@dataclass(frozen=True)
 class KernelThresholds:
     """Crossover points of the adaptive dispatch.
 
     Attributes
     ----------
     scatter_sort_min:
-        Batch size above which sort + ``np.minimum.reduceat`` replaces
-        ``np.minimum.at``.  ``inf`` means the ufunc fast path always wins
-        (true on NumPy >= 1.24 builds with indexed ufunc.at loops).
+        Batch size from which scatter-min would leave ``np.minimum.at``.
+        ``inf``: the ufunc's indexed fast path (NumPy >= 1.24) beats sort +
+        ``np.minimum.reduceat`` at every batch size, so scatter-min is
+        always ``np.minimum.at``.
     dedup_mask_ratio:
         Use the mark-bit dedup when ``k * dedup_mask_ratio >= n`` (k = batch
         size, n = universe size); below that the O(n/w) ``flatnonzero`` scan
@@ -92,98 +89,28 @@ class KernelThresholds:
     first_occ_dense_min:
         Batch size above which the O(k) scatter-based first-occurrence kernel
         replaces the stable-argsort one (needs a slots buffer).
-    source:
-        ``"default"``, ``"autotune"`` or ``"env"`` — where the numbers came
-        from (recorded in ``BENCH_hotpath.json``).
     """
 
     scatter_sort_min: float = float("inf")
     dedup_mask_ratio: int = 256
     first_occ_dense_min: int = 1024
-    source: str = "default"
 
 
 _MODE = "auto"  # "auto" | "fallback"
-_THRESHOLDS: "KernelThresholds | None" = None
+_THRESHOLDS = KernelThresholds()
 
 
 def thresholds() -> KernelThresholds:
-    """The active dispatch thresholds, autotuning on first use.
+    """The dispatch thresholds: fixed constants, recorded by benchmarks.
 
-    Set ``REPRO_KERNEL_AUTOTUNE=0`` to skip the measurement and use the
-    conservative defaults (useful for perfectly reproducible CI timings; the
-    *results* of every kernel are identical either way).
+    Results are identical whatever the thresholds; only wall clock differs
+    (DESIGN.md §6 gives the measurements behind the values).
     """
-    global _THRESHOLDS
-    if _THRESHOLDS is None:
-        if os.environ.get("REPRO_KERNEL_AUTOTUNE", "1") == "0":
-            _THRESHOLDS = KernelThresholds(source="env")
-        else:
-            _THRESHOLDS = autotune()
     return _THRESHOLDS
 
 
-def _best_of(fn, reps: int = 3) -> float:
-    best = float("inf")
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
-def autotune(*, sizes: "tuple[int, ...]" = (1 << 10, 1 << 13, 1 << 16)) -> KernelThresholds:
-    """Measure the kernel variants once and return fitted thresholds.
-
-    The probes are tiny (a few ms total): for each batch size we time the
-    ufunc-vs-sort scatter-min pair and the unique-vs-mask dedup pair on a
-    synthetic universe, then pick the smallest probed size at which the
-    alternative wins (``inf`` if it never does).
-    """
-    rng = np.random.default_rng(0xC0FFEE)
-    n = max(sizes) * 4
-    values = rng.random(n) * 1e6
-    mask = np.zeros(n, dtype=bool)
-
-    scatter_sort_min = float("inf")
-    dedup_ratio = None
-    for k in sizes:
-        targets = rng.integers(0, n, size=k).astype(_INT)
-        cands = rng.random(k) * 1e6
-
-        def via_at(v=values, t=targets, c=cands):
-            np.minimum.at(v.copy(), t, c)
-
-        def via_sort(v=values, t=targets, c=cands):
-            vv = v.copy()
-            order = np.argsort(t, kind="stable")
-            ts, cs = t[order], c[order]
-            seg = np.flatnonzero(np.r_[True, ts[1:] != ts[:-1]])
-            uniq = ts[seg]
-            vv[uniq] = np.minimum(vv[uniq], np.minimum.reduceat(cs, seg))
-
-        if _best_of(via_sort) < _best_of(via_at) and k < scatter_sort_min:
-            scatter_sort_min = float(k)
-
-        def via_unique(t=targets):
-            np.unique(t)
-
-        def via_mask(t=targets, m=mask):
-            m[t] = True
-            out = np.flatnonzero(m)
-            m[out] = False
-
-        if _best_of(via_mask) < _best_of(via_unique) and dedup_ratio is None:
-            dedup_ratio = max(1, n // k)
-    return KernelThresholds(
-        scatter_sort_min=scatter_sort_min,
-        dedup_mask_ratio=dedup_ratio if dedup_ratio is not None else 1 << 62,
-        source="autotune",
-    )
-
-
 def set_mode(mode: str) -> None:
-    """Switch kernel dispatch globally: ``"auto"`` (tuned) or ``"fallback"``.
+    """Switch kernel dispatch globally: ``"auto"`` (adaptive) or ``"fallback"``.
 
     Fallback forces the pre-kernel NumPy idioms everywhere; results are
     identical, only wall clock differs.
@@ -266,8 +193,8 @@ def scatter_min(values: np.ndarray, targets: np.ndarray, candidates: np.ndarray)
     """``values[targets] = min(values[targets], candidates)`` with duplicates.
 
     Returns the *pre-batch* ``values[targets]`` (the gather every WriteMin
-    success mask needs anyway).  Dispatch: ``np.minimum.at`` below the
-    autotuned crossover, sort + ``np.minimum.reduceat`` above it.
+    success mask needs anyway).  Always ``np.minimum.at``: its indexed fast
+    path beats sort + ``np.minimum.reduceat`` at every batch size.
     """
     if OBS.enabled:
         with OBS.kernel("scatter_min", len(targets)):
@@ -277,18 +204,8 @@ def scatter_min(values: np.ndarray, targets: np.ndarray, candidates: np.ndarray)
 
 def _scatter_min(values: np.ndarray, targets: np.ndarray, candidates: np.ndarray) -> np.ndarray:
     old = values[targets]
-    k = len(targets)
-    if k == 0:
-        return old
-    if _MODE == "fallback" or k < thresholds().scatter_sort_min:
+    if len(targets):
         np.minimum.at(values, targets, candidates)
-        return old
-    order = np.argsort(targets, kind="stable")
-    ts = targets[order]
-    cs = candidates[order]
-    seg = np.flatnonzero(_run_starts(ts))
-    uniq = ts[seg]
-    values[uniq] = np.minimum(values[uniq], np.minimum.reduceat(cs, seg))
     return old
 
 
@@ -305,7 +222,7 @@ def scatter_min_2d(
     wave across K queries while keeping per-source semantics exact.
 
     ``values`` must be C-contiguous; the kernel dispatches through the 1-D
-    :func:`scatter_min` on the flattened view (same autotuned crossovers).
+    :func:`scatter_min` on the flattened view.
     """
     n = values.shape[1]
     flat = values.reshape(-1)  # view; raises for non-contiguous layouts

@@ -356,6 +356,8 @@ class QueryEngine:
         self.labels_path = labels_path
         self._label_store = None
         self._label_index = None
+        # Fingerprint of a graph the label builders refused (permanent).
+        self._labels_refused: "str | None" = None
         if mode == "p2p":
             from repro.labels import LabelStore
 
@@ -496,7 +498,10 @@ class QueryEngine:
         the builders) and full structural validation; a corrupt build is
         rejected there and retried like any transient execution failure.
         ``None`` after the retry budget means the engine serves p2p queries
-        from the SSSP fallback until the next build opportunity.
+        from the SSSP fallback until the next build opportunity.  A
+        :class:`ParameterError` (the graph breaks the label contract, e.g.
+        a non-integer weight) is permanent for this graph: it is not
+        retried, and no later query rebuilds until the graph changes.
         """
         from repro.labels import LabelBundle, build_hub_labels, build_landmarks
 
@@ -507,7 +512,7 @@ class QueryEngine:
                     self.graph, L, strategy=self.label_strategy,
                     algo=self.algo, param=self.param, seed=self.seed,
                 )
-                hubs = build_hub_labels(self.graph, seed=self.seed)
+                hubs = build_hub_labels(self.graph, landmarks, seed=self.seed)
                 bundle = LabelBundle(
                     fingerprint=self.graph.fingerprint,
                     landmarks=landmarks, hubs=hubs,
@@ -518,6 +523,16 @@ class QueryEngine:
                 if OBS.enabled:
                     OBS.registry.inc("serving.engine.label_builds")
                 return bundle
+            except ParameterError as exc:
+                self._counters["label_build_failures"] += 1
+                if OBS.enabled:
+                    OBS.registry.inc("serving.engine.label_build_failures")
+                self._labels_refused = self.graph.fingerprint
+                _LOG.warning(
+                    "label tables refused for this graph (%s); serving p2p "
+                    "queries from the SSSP fallback", exc,
+                )
+                return None
             except Exception as exc:
                 self._counters["label_build_failures"] += 1
                 if OBS.enabled:
@@ -542,6 +557,8 @@ class QueryEngine:
         """
         if self.labels_ready:
             return self._label_index
+        if self._labels_refused == self.graph.fingerprint:
+            return None
         from repro.labels import LabelIndex, LabelStore, load_or_none, save_labels
 
         self._label_index = None

@@ -8,7 +8,7 @@ is semantics and must stay bit-identical.  Two guards:
   final distance array, captured from the pre-kernel implementation on the
   GE/OK/TW tiny stand-ins, for the three production algorithms and all four
   baselines;
-* mode invariance: tuned dispatch vs :func:`~repro.runtime.kernels.fallback_mode`
+* mode invariance: adaptive dispatch vs :func:`~repro.runtime.kernels.fallback_mode`
   (the pre-kernel NumPy idioms) produce identical records live.
 """
 

@@ -20,11 +20,12 @@ from hypothesis import strategies as st
 
 from repro.dynamic import (
     UpdateBatch,
+    apply_resolved,
     apply_updates,
     inverse_batch,
     resolve_updates,
 )
-from repro.graphs import rmat
+from repro.graphs import Graph, rmat
 from repro.utils.errors import GraphFormatError
 
 UND = rmat(8, 6, seed=21)
@@ -112,6 +113,72 @@ def test_inverse_restores_fingerprint(g, data):
 # --------------------------------------------------------------------------- #
 # unit semantics
 # --------------------------------------------------------------------------- #
+
+
+def _lexsort_rebuild(graph, resolved):
+    """Reference CSR: every kept edge plus the new ones, fully re-sorted."""
+    n = graph.n
+    src, dst, w = graph.edges()
+    keys = src * np.int64(n) + dst
+    touched = resolved.u * np.int64(n) + resolved.v
+    keep = ~np.isin(keys, touched)
+    live = np.isfinite(resolved.new_w)
+    src = np.concatenate([src[keep], resolved.u[live]])
+    dst = np.concatenate([dst[keep], resolved.v[live]])
+    w = np.concatenate([w[keep], resolved.new_w[live]])
+    order = np.lexsort((dst, src))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    return indptr, dst[order], w[order]
+
+
+@st.composite
+def raw_csr(draw):
+    """Small CSRs, including parallel edges and rows not sorted by target."""
+    n = draw(st.integers(2, 12))
+    m = draw(st.integers(0, 40))
+    src = np.array(draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m)), dtype=np.int64)
+    dst = np.array(draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m)), dtype=np.int64)
+    w = np.array(draw(st.lists(st.integers(1, 9), min_size=m, max_size=m)), dtype=float)
+    ok = src != dst
+    src, dst, w = src[ok], dst[ok], w[ok]
+    if draw(st.booleans()):  # canonical
+        return Graph.from_edges(n, src, dst, w, dedup=draw(st.booleans()))
+    order = np.argsort(src, kind="stable")  # row-grouped, target order as drawn
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    return Graph(indptr=indptr, indices=dst[order], weights=w[order])
+
+
+@given(g=raw_csr(), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_patched_csr_bit_identical_to_full_rebuild(g, data):
+    size = data.draw(st.integers(1, 8), label="size")
+    ins, dels, rews = [], [], []
+    for _ in range(size):
+        u = data.draw(st.integers(0, g.n - 1), label="u")
+        v = data.draw(st.integers(0, g.n - 1), label="v")
+        if u == v:
+            v = (v + 1) % g.n
+        kind = data.draw(st.integers(0, 2), label="kind")
+        if kind == 1:
+            dels.append((u, v))
+        else:
+            (ins if kind == 0 else rews).append(
+                (u, v, float(data.draw(st.integers(1, 9), label="w"))))
+    for e in data.draw(st.lists(st.integers(0, max(g.m - 1, 0)), max_size=3), label="es"):
+        if g.m:  # hit existing edges (and every parallel copy of them)
+            dels.append((int(g.edge_sources[e]), int(g.indices[e])))
+    resolved = resolve_updates(g, UpdateBatch(inserts=ins, deletes=dels, reweights=rews))
+    patched = apply_resolved(g, resolved)
+    if resolved.size == 0:
+        assert patched is g
+        return
+    indptr, indices, weights = _lexsort_rebuild(g, resolved)
+    for got, want in ((patched.indptr, indptr), (patched.indices, indices),
+                      (patched.weights, weights)):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
 
 
 def test_insert_is_upsert():

@@ -17,6 +17,7 @@ import asyncio
 import numpy as np
 import pytest
 
+from repro.baselines import dijkstra_reference
 from repro.dynamic import UpdateBatch
 from repro.graphs import rmat
 from repro.labels import LabelStore
@@ -138,6 +139,50 @@ class TestBuildChaos:
             assert d == ref or (np.isinf(d) and np.isinf(ref))
         finally:
             eng.close()
+
+
+class TestIntegerWeightContract:
+    """Label exactness rests on integer weights (DESIGN §14): a graph that
+    breaks the contract is refused once, for good, and every p2p answer is
+    served by the exact SSSP fallback instead."""
+
+    @staticmethod
+    def _assert_exact(eng, graph, pairs):
+        for s, t in pairs:
+            ref = float(dijkstra_reference(graph, s)[t])
+            d = eng.dist(s, t)
+            assert d == ref or (np.isinf(d) and np.isinf(ref)), (s, t, d, ref)
+            assert eng.reachable(s, t) == bool(np.isfinite(ref))
+
+    def test_fractional_graph_refused_permanently(self):
+        frac = G.apply_updates(UpdateBatch(reweights=[(1, 2, 7.5)]))
+        eng = QueryEngine(frac, "rho", 64, mode="p2p", num_landmarks=8, retries=2)
+        try:
+            assert not eng.labels_ready
+            rng = np.random.default_rng(9)
+            pairs = [tuple(map(int, rng.integers(0, G.n, 2))) for _ in range(6)]
+            self._assert_exact(eng, frac, pairs)
+            st = eng.stats()
+            # One refused attempt: no retries, no rebuild per query.
+            assert st["label_build_failures"] == 1
+            assert st["label_builds"] == 0
+            assert st["label_fallbacks"] == 2 * len(pairs)
+        finally:
+            eng.close()
+
+    def test_fractional_update_falls_back_then_recovers(self, engine):
+        u, v = 0, int(G.indices[G.indptr[0]])
+        summary = engine.apply_updates(UpdateBatch(reweights=[(u, v, 2.5)]))
+        assert summary["labels_rebuilt"] is False
+        assert not engine.labels_ready
+        pairs = [(u, v), (v, u), (0, 60), (3, 90), (u, 120)]
+        self._assert_exact(engine, engine.graph, pairs)
+        assert engine.stats()["label_build_failures"] == 1
+        # A later batch that restores integer weights brings labels back.
+        summary = engine.apply_updates(UpdateBatch(reweights=[(u, v, 3.0)]))
+        assert summary["labels_rebuilt"] is True
+        self._assert_exact(engine, engine.graph, pairs)
+        assert engine.stats()["label_build_failures"] == 1
 
 
 class TestInvalidation:

@@ -31,10 +31,11 @@ def _clean_injector():
 
 
 def _bundle(g, *, hubs=True, landmarks=True) -> LabelBundle:
+    table = build_landmarks(g, 6)
     return LabelBundle(
         fingerprint=g.fingerprint,
-        landmarks=build_landmarks(g, 6) if landmarks else None,
-        hubs=build_hub_labels(g) if hubs else None,
+        landmarks=table if landmarks else None,
+        hubs=build_hub_labels(g, table) if hubs else None,
     )
 
 

@@ -22,10 +22,11 @@ G_DIR = rmat(7, 6, seed=14, directed=True)
 
 
 def _bundle(g) -> LabelBundle:
+    table = build_landmarks(g, 5)
     return LabelBundle(
         fingerprint=g.fingerprint,
-        landmarks=build_landmarks(g, 5),
-        hubs=build_hub_labels(g),
+        landmarks=table,
+        hubs=build_hub_labels(g, table),
         meta={"note": "test"},
     )
 

@@ -3,14 +3,14 @@
 Every kernel in :mod:`repro.runtime.kernels` is an *implementation* choice:
 whatever the dispatch picks, the result must be bit-identical to the naive
 NumPy reference (``np.minimum.at`` / ``np.unique`` / stable-argsort).  These
-tests force every dispatch arm — fallback mode, tuned mode, and each arm
-explicitly via threshold overrides — across dtypes, duplicate densities,
+tests force every dispatch arm — fallback mode, the default mode, and each
+arm explicitly via threshold overrides — across dtypes, duplicate densities,
 inf values, and empty inputs.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 
 import numpy as np
 import pytest
@@ -38,17 +38,22 @@ from repro.runtime.kernels import (
 def forced(**overrides):
     """Pin the dispatch thresholds for the duration of the block."""
     prev = kernels._THRESHOLDS
-    kernels._THRESHOLDS = KernelThresholds(source="test", **overrides)
+    kernels._THRESHOLDS = KernelThresholds(**overrides)
     try:
         yield
     finally:
         kernels._THRESHOLDS = prev
 
 
+# scatter-min has one implementation; both dispatch modes must reach it.
 SCATTER_ARMS = [
-    {"scatter_sort_min": float("inf")},  # always np.minimum.at
-    {"scatter_sort_min": 0.0},  # always sort + reduceat
+    {"fallback": False},  # default dispatch
+    {"fallback": True},  # pre-kernel idioms
 ]
+
+
+def scatter_arm(arm):
+    return fallback_mode() if arm["fallback"] else nullcontext()
 DEDUP_ARMS = [
     {"dedup_mask_ratio": 1 << 62},  # always np.unique
     {"dedup_mask_ratio": 1},  # always mark-bits + flatnonzero
@@ -79,7 +84,7 @@ def test_scatter_min_matches_minimum_at(batch, arm):
     values, targets, cands = batch
     ref = values.copy()
     np.minimum.at(ref, targets, cands)
-    with forced(**SCATTER_ARMS[arm]):
+    with scatter_arm(SCATTER_ARMS[arm]):
         got = values.copy()
         old = scatter_min(got, targets, cands)
     np.testing.assert_array_equal(got, ref)
@@ -88,7 +93,7 @@ def test_scatter_min_matches_minimum_at(batch, arm):
 
 @pytest.mark.parametrize("arm", SCATTER_ARMS)
 def test_scatter_min_empty(arm):
-    with forced(**arm):
+    with scatter_arm(arm):
         values = np.array([3.0, 1.0])
         old = scatter_min(values, np.zeros(0, dtype=np.int64), np.zeros(0))
     assert old.size == 0
@@ -97,7 +102,7 @@ def test_scatter_min_empty(arm):
 
 @pytest.mark.parametrize("arm", SCATTER_ARMS)
 def test_scatter_min_integer_values(arm):
-    with forced(**arm):
+    with scatter_arm(arm):
         values = np.array([5, 9, 2], dtype=np.int64)
         targets = np.array([1, 1, 0, 2], dtype=np.int64)
         cands = np.array([7, 3, 9, 1], dtype=np.int64)
@@ -321,11 +326,9 @@ class TestWorkspace:
             Workspace(-1)
 
 
-def test_autotune_returns_thresholds():
-    th = kernels.autotune(sizes=(256,))
-    assert th.source == "autotune"
-    assert th.scatter_sort_min > 0
-    assert th.dedup_mask_ratio >= 1
+def test_thresholds_are_fixed():
+    assert kernels.thresholds() == KernelThresholds(float("inf"), 256, 1024)
+    assert kernels.thresholds() is kernels.thresholds()
 
 
 def test_set_mode_validates():

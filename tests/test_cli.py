@@ -14,6 +14,67 @@ def graph_file(tmp_path_factory):
     return str(p)
 
 
+def _start_server(graph_file, *args, preexec_fn=None):
+    """``repro serve`` as a subprocess on a free port: ``(proc, port)``."""
+    import os
+    import socket
+    import subprocess
+    import sys
+    import time
+
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env["PYTHONPATH"] = os.path.abspath(src)
+    proc = subprocess.Popen(
+        [sys.executable, "-c",
+         "import sys; from repro.cli import main; sys.exit(main(sys.argv[1:]))",
+         "serve", graph_file, "--port", str(port), *args],
+        env=env, stderr=subprocess.PIPE, text=True, preexec_fn=preexec_fn,
+        start_new_session=True,  # own process group: _stop_server can reap it
+    )
+    for _ in range(100):  # the listener needs a moment to bind
+        try:
+            socket.create_connection(("127.0.0.1", port), timeout=1).close()
+            return proc, port
+        except OSError:
+            time.sleep(0.1)
+    _stop_server(proc, None)
+    raise AssertionError("server never bound its port")
+
+
+def _stop_server(proc, sig) -> str:
+    """Send ``sig`` and wait for exit (killing the whole group on a hang);
+    returns the server's stderr."""
+    import os
+    import signal
+    import subprocess
+
+    try:
+        if sig is not None:
+            proc.send_signal(sig)
+            return proc.communicate(timeout=30)[1]
+    except subprocess.TimeoutExpired:
+        pass
+    os.killpg(proc.pid, signal.SIGKILL)  # pool workers too
+    err = proc.communicate()[1]
+    raise AssertionError(f"server did not stop on {sig!r}:\n{err}")
+
+
+def _query_server(port, source):
+    """One JSON-lines request over a fresh connection; the decoded reply."""
+    import json
+    import socket
+
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as conn, \
+            conn.makefile("rw") as fh:
+        fh.write(json.dumps({"id": 1, "source": source}) + "\n")
+        fh.flush()
+        return json.loads(fh.readline())
+
+
 class TestParser:
     def test_all_subcommands_present(self):
         parser = build_parser()
@@ -354,42 +415,38 @@ class TestServingCommands:
         # The serve command blocks by design: drive it as a real subprocess,
         # speak the JSON-lines protocol at it, and stop it with SIGINT (the
         # operator's Ctrl-C) — which must exit 0, not dump a traceback.
-        import json
-        import os
         import signal
-        import socket
-        import subprocess
-        import sys
-        import time
 
-        with socket.socket() as probe:
-            probe.bind(("127.0.0.1", 0))
-            port = probe.getsockname()[1]
-        env = dict(os.environ)
-        src = os.path.join(os.path.dirname(__file__), "..", "src")
-        env["PYTHONPATH"] = os.path.abspath(src)
-        proc = subprocess.Popen(
-            [sys.executable, "-c",
-             "import sys; from repro.cli import main; sys.exit(main(sys.argv[1:]))",
-             "serve", graph_file, "--port", str(port), "--algo", "bf"],
-            env=env, stderr=subprocess.PIPE, text=True,
-        )
+        proc, port = _start_server(graph_file, "--algo", "bf")
         try:
-            conn = None
-            for _ in range(100):  # the listener needs a moment to bind
-                try:
-                    conn = socket.create_connection(("127.0.0.1", port), timeout=1)
-                    break
-                except OSError:
-                    time.sleep(0.1)
-            assert conn is not None, "server never bound its port"
-            with conn, conn.makefile("rw") as fh:
-                fh.write('{"id": 1, "source": 0}\n')
-                fh.flush()
-                reply = json.loads(fh.readline())
+            reply = _query_server(port, source=0)
             assert reply["ok"] is True and reply["reached"] >= 1
         finally:
-            proc.send_signal(signal.SIGINT)
-            _, err = proc.communicate(timeout=30)
+            err = _stop_server(proc, signal.SIGINT)
         assert proc.returncode == 0
         assert "interrupted; server stopped" in err
+
+    @pytest.mark.parametrize("stop", ["SIGTERM", "SIGINT"])
+    def test_serve_drains_on_signal_with_sigint_ignored(self, graph_file, stop):
+        # Started in the background from a non-interactive shell, a server
+        # inherits SIGINT ignored; SIGTERM, and SIGINT too, must still drain
+        # it — pooled shared-memory workers included — and exit 0 without
+        # leaking a segment.
+        import signal
+
+        from repro.runtime.shm import SHM_PREFIX, leaked_segments, shm_available
+
+        if not shm_available():
+            pytest.skip("no shared memory")
+        proc, port = _start_server(
+            graph_file, "--algo", "bf", "--jobs", "2", "--shm",
+            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_IGN),
+        )
+        try:
+            reply = _query_server(port, source=1)
+            assert reply["ok"] is True and reply["reached"] >= 1
+        finally:
+            err = _stop_server(proc, getattr(signal, stop))
+        assert proc.returncode == 0, err
+        assert "interrupted; server stopped" in err
+        assert leaked_segments(f"{SHM_PREFIX}-{proc.pid}-") == []
