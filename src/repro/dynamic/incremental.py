@@ -170,7 +170,7 @@ def incremental_sssp(
     # vertices (their targets were just reset to inf) plus the tails of
     # inserted/decreased edges.  One edge-parallel scan finds both.
     du = dist[graph.edge_sources]
-    improving = np.isfinite(du) & (du + graph.weights < dist[graph.indices])
+    improving = du + graph.weights < dist[graph.indices]  # inf du never improves
     seeds = np.unique(graph.edge_sources[improving])
 
     res = stepping_sssp(

@@ -109,9 +109,10 @@ def spt_parents(
     arrays swapped to get the in-tree of a ``v -> target`` distance vector.
     """
     n = len(dist)
-    finite = np.isfinite(dist)
     du, dv = dist[edge_src], dist[edge_dst]
-    tight = finite[edge_src] & finite[edge_dst] & (du + weights == dv) & (du < dv)
+    # du < dv with dv finite already makes du finite; isfinite(dv) only
+    # keeps an infinite-weight edge from looking tight into an unreachable v.
+    tight = (du < dv) & (du + weights == dv) & np.isfinite(dv)
     parent = np.full(n, n, dtype=np.int64)  # sentinel n = no tight in-edge
     np.minimum.at(parent, edge_dst[tight], edge_src[tight])
     return np.where(parent < n, parent, np.arange(n, dtype=np.int64))

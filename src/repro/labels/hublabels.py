@@ -10,8 +10,8 @@ shared set on undirected graphs) — such that for every reachable pair
 
     dist(s, t) = min over h in L_out(s) ∩ L_in(t) of d(s, h) + d(h, t)
 
-computed by one sorted merge of two tiny arrays — no graph traversal at
-query time at all.
+computed by one ``searchsorted`` merge of two tiny sorted arrays — no
+graph traversal at query time at all.
 
 Construction is the pruned labeling of Akiba–Iwata–Yoshida (the distance-
 ordered variant for weighted graphs): process vertices in *rank* order,
@@ -112,11 +112,11 @@ class HubLabels:
         return sizes / (2 * self.n) if self.n else 0.0
 
     def out_label(self, v: int) -> "tuple[np.ndarray, np.ndarray]":
-        lo, hi = self.out_indptr[v], self.out_indptr[v + 1]
+        lo, hi = self.out_indptr[v:v + 2].tolist()
         return self.out_hubs[lo:hi], self.out_dists[lo:hi]
 
     def in_label(self, v: int) -> "tuple[np.ndarray, np.ndarray]":
-        lo, hi = self.in_indptr[v], self.in_indptr[v + 1]
+        lo, hi = self.in_indptr[v:v + 2].tolist()
         return self.in_hubs[lo:hi], self.in_dists[lo:hi]
 
     def validate(self, graph: "Graph | None" = None) -> None:
@@ -201,18 +201,24 @@ class HubLabels:
 
 
 def hub_distance(labels: HubLabels, s: int, t: int) -> float:
-    """Exact ``dist(s, t)`` by sorted-hub merge (``inf`` when unreachable)."""
+    """Exact ``dist(s, t)`` by sorted-hub merge (``inf`` when unreachable).
+
+    Both label rank arrays are strictly increasing, so one
+    ``searchsorted`` of the out-label ranks into the in-label ranks finds
+    every common hub: position ``p`` of rank ``r`` is a match iff
+    ``in_ranks[p] == r`` (``clip`` keeps past-the-end positions in range;
+    they never match).  The minimum runs over exactly the common hubs'
+    ``d(s, h) + d(h, t)`` sums.
+    """
     if s == t:
         return 0.0
     sh, sd = labels.out_label(s)
     th, td = labels.in_label(t)
     if len(sh) == 0 or len(th) == 0:
         return _INF
-    # Sorted merge over the two strictly-increasing rank arrays.
-    common, si, ti = np.intersect1d(sh, th, assume_unique=True, return_indices=True)
-    if len(common) == 0:
-        return _INF
-    return float(np.min(sd[si] + td[ti]))
+    pos = th.searchsorted(sh)
+    common = th.take(pos, mode="clip") == sh
+    return float((sd[common] + td[pos[common]]).min(initial=_INF))
 
 
 def _subtree_sizes(parent: np.ndarray, reached: np.ndarray) -> np.ndarray:

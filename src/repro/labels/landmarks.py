@@ -39,6 +39,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
+from operator import add, sub
 
 import numpy as np
 
@@ -169,15 +171,56 @@ class LandmarkTable:
     # ------------------------------------------------------------------ #
     # bounds
 
+    @cached_property
+    def _vertex_rows(self) -> "tuple[np.ndarray, np.ndarray]":
+        """Row-major ``(n, L)`` copies of ``dist_from`` / ``dist_to``.
+
+        Derived once per table and held in memory only (artifacts keep the
+        ``(L, n)`` layout): one vertex's ``L`` distances are then one
+        contiguous row, read by a single ``tolist()`` per lookup.  The
+        undirected table shares one copy for both sides.
+        """
+        from_rows = np.ascontiguousarray(self.dist_from.T)
+        if self.dist_to is self.dist_from:
+            return from_rows, from_rows
+        return from_rows, np.ascontiguousarray(self.dist_to.T)
+
+    def bounds(self, s: int, t: int) -> "tuple[float, float]":
+        """``(lower_bound(s, t), upper_bound(s, t))`` in one pass.
+
+        Scalar float arithmetic over the four ``L``-entry vertex rows — the
+        same subtractions and sums as :meth:`lower_bounds` /
+        :meth:`upper_bounds`, with NaN (``inf - inf``) and ``-inf``
+        differences ignored and ``+inf`` kept, so the values are
+        bit-identical to the vectorised ones.
+        """
+        if s == t:
+            return 0.0, 0.0
+        from_rows, to_rows = self._vertex_rows
+        from_s = from_rows[s].tolist()               # l -> s
+        from_t = from_rows[t].tolist()               # l -> t
+        if to_rows is from_rows:
+            to_s, to_t = from_s, from_t
+        else:
+            to_s = to_rows[s].tolist()               # s -> l
+            to_t = to_rows[t].tolist()               # t -> l
+        lo = 0.0
+        # NaN and -inf never compare above lo, so they drop out here.
+        for a in map(sub, from_t, from_s):           # d(l,t) - d(l,s)
+            if a > lo:
+                lo = a
+        for b in map(sub, to_s, to_t):               # d(s,l) - d(t,l)
+            if b > lo:
+                lo = b
+        return lo, min(map(add, to_s, from_t))
+
     def lower_bound(self, s: int, t: int) -> float:
         """Best ALT lower bound on ``dist(s, t)`` over all landmarks (>= 0)."""
-        if s == t:
-            return 0.0
-        lo = self.lower_bounds(s, np.array([t], dtype=np.int64))
-        return float(lo[0])
+        return self.bounds(s, t)[0]
 
     def lower_bounds(self, s: int, targets: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`lower_bound` for one source and many targets."""
+        """Vectorised :meth:`lower_bound` for one source and many targets
+        (the reference the scalar lookup is tested against)."""
         lt = self.dist_from[:, targets]          # (L, T): l -> t
         ls = self.dist_to[:, [s]]                # (L, 1): s -> l   (for d >= d(s,l)-d(t,l))
         fs = self.dist_from[:, [s]]              # (L, 1): l -> s
@@ -199,13 +242,11 @@ class LandmarkTable:
 
     def upper_bound(self, s: int, t: int) -> float:
         """Best route-through-a-landmark upper bound on ``dist(s, t)``."""
-        if s == t:
-            return 0.0
-        up = self.upper_bounds(s, np.array([t], dtype=np.int64))
-        return float(up[0])
+        return self.bounds(s, t)[1]
 
     def upper_bounds(self, s: int, targets: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`upper_bound` for one source and many targets."""
+        """Vectorised :meth:`upper_bound` for one source and many targets
+        (the reference the scalar lookup is tested against)."""
         up = (self.dist_to[:, [s]] + self.dist_from[:, targets]).min(axis=0)
         up[targets == s] = 0.0
         return up

@@ -32,6 +32,7 @@ behind the zero-overhead ``OBS.enabled`` seam.
 from __future__ import annotations
 
 from collections import OrderedDict
+from math import isfinite
 
 import numpy as np
 
@@ -140,7 +141,7 @@ class LabelIndex:
         lm = self.bundle.landmarks
         if lm is None:
             return (0.0, _INF)
-        return (lm.lower_bound(s, t), lm.upper_bound(s, t))
+        return lm.bounds(s, t)
 
     # ------------------------------------------------------------------ #
     # queries
@@ -170,7 +171,7 @@ class LabelIndex:
                 # Payload corruption: negate the answer (or fabricate a
                 # finite one for unreachable pairs) — the validation below
                 # must catch either and degrade to the fallback.
-                d = -(d + 1.0) if np.isfinite(d) else -1.0
+                d = -(d + 1.0) if isfinite(d) else -1.0
             if self._answer_ok(d, lb, ub):
                 self._count("hub_served")
                 return d
@@ -180,7 +181,7 @@ class LabelIndex:
         if lb == ub:
             d = lb
             if directive == "corrupt":
-                d = -(d + 1.0) if np.isfinite(d) else -1.0
+                d = -(d + 1.0) if isfinite(d) else -1.0
             if self._answer_ok(d, lb, ub):
                 self._count("landmark_served")
                 return d
@@ -196,9 +197,8 @@ class LabelIndex:
         distance, so a healthy table can never fail this test — a failure
         is proof of corruption, not a false positive.
         """
-        if np.isnan(d) or d < 0.0:
-            return False
-        return lb <= d <= ub
+        # NaN fails every comparison, so these also reject it.
+        return 0.0 <= d and lb <= d <= ub
 
     def reachable(self, s: int, t: int) -> bool:
         """Whether a path ``s -> t`` exists.
@@ -214,13 +214,13 @@ class LabelIndex:
         if s == t:
             return True
         if self.bundle.hubs is not None:
-            return np.isfinite(self.dist(s, t))
+            return isfinite(self.dist(s, t))
         lb, ub = self.bounds(s, t)
-        if not np.isfinite(lb):
+        if not isfinite(lb):
             return False
-        if np.isfinite(ub):
+        if isfinite(ub):
             return True
-        return np.isfinite(self._fallback_dist(s, t))
+        return isfinite(self._fallback_dist(s, t))
 
     def knearest(
         self, t: int, sources, k: int
@@ -239,7 +239,7 @@ class LabelIndex:
         for s in sources:
             s = self._check_vertex("source", s)
             d = self.dist(s, t)
-            if np.isfinite(d):
+            if isfinite(d):
                 pairs.append((d, s))
         pairs.sort()
         return [(s, d) for d, s in pairs[:k]]

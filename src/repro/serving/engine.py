@@ -356,8 +356,10 @@ class QueryEngine:
         self.labels_path = labels_path
         self._label_store = None
         self._label_index = None
-        # Fingerprint of a graph the label builders refused (permanent).
-        self._labels_refused: "str | None" = None
+        # Fingerprint of the graph whose label build was given up — refused
+        # (the graph breaks the label contract) or out of retries.  p2p
+        # queries on it use the SSSP fallback; a graph change clears it.
+        self._labels_given_up: "str | None" = None
         if mode == "p2p":
             from repro.labels import LabelStore
 
@@ -498,10 +500,11 @@ class QueryEngine:
         the builders) and full structural validation; a corrupt build is
         rejected there and retried like any transient execution failure.
         ``None`` after the retry budget means the engine serves p2p queries
-        from the SSSP fallback until the next build opportunity.  A
-        :class:`ParameterError` (the graph breaks the label contract, e.g.
-        a non-integer weight) is permanent for this graph: it is not
-        retried, and no later query rebuilds until the graph changes.
+        from the SSSP fallback until :meth:`apply_updates` changes the
+        graph.  A :class:`ParameterError` (the graph breaks the label
+        contract, e.g. a non-integer weight) is not retried at all.  Either
+        way the graph's fingerprint is recorded in ``_labels_given_up``, so
+        no later query runs the build again.
         """
         from repro.labels import LabelBundle, build_hub_labels, build_landmarks
 
@@ -527,7 +530,7 @@ class QueryEngine:
                 self._counters["label_build_failures"] += 1
                 if OBS.enabled:
                     OBS.registry.inc("serving.engine.label_build_failures")
-                self._labels_refused = self.graph.fingerprint
+                self._labels_given_up = self.graph.fingerprint
                 _LOG.warning(
                     "label tables refused for this graph (%s); serving p2p "
                     "queries from the SSSP fallback", exc,
@@ -541,9 +544,10 @@ class QueryEngine:
                     "label build attempt %d/%d failed: %s",
                     attempt + 1, self.retries + 1, exc,
                 )
+        self._labels_given_up = self.graph.fingerprint
         _LOG.warning(
             "label build exhausted its retry budget; serving p2p queries "
-            "from the SSSP fallback"
+            "from the SSSP fallback until the graph changes"
         )
         return None
 
@@ -553,11 +557,12 @@ class QueryEngine:
         Resolution order: live index → store entry for the current
         fingerprint → ``labels_path`` artifact (rejected if corrupt or
         stale) → fresh build (persisted back to ``labels_path``).  Returns
-        ``None`` when building kept failing — callers degrade, never crash.
+        ``None`` when the build for this graph was given up — callers
+        degrade, never crash.
         """
         if self.labels_ready:
             return self._label_index
-        if self._labels_refused == self.graph.fingerprint:
+        if self._labels_given_up == self.graph.fingerprint:
             return None
         from repro.labels import LabelIndex, LabelStore, load_or_none, save_labels
 
@@ -962,6 +967,7 @@ class QueryEngine:
             )
             self._label_index = None
         self.graph = new_graph
+        self._labels_given_up = None
         if self.shards:
             from repro.shard import ShardedGraph
 

@@ -16,6 +16,7 @@ from repro.graphs import (
     shortest_path_tree,
     verify_sssp,
 )
+from repro.graphs.paths import spt_parents
 from repro.utils import ParameterError
 
 
@@ -135,3 +136,48 @@ def test_verify_accepts_every_algorithm_output(seed):
     s = seed % g.n
     res = rho_stepping(g, s, rho=16, seed=seed)
     verify_sssp(g, s, res.dist)
+
+
+def _spt_parents_reference(edge_src, edge_dst, weights, dist):
+    """Reference tight-edge forest that tests both endpoints for finiteness."""
+    n = len(dist)
+    finite = np.isfinite(dist)
+    du, dv = dist[edge_src], dist[edge_dst]
+    tight = finite[edge_src] & finite[edge_dst] & (du + weights == dv) & (du < dv)
+    parent = np.full(n, n, dtype=np.int64)
+    np.minimum.at(parent, edge_dst[tight], edge_src[tight])
+    return np.where(parent < n, parent, np.arange(n, dtype=np.int64))
+
+
+@given(
+    st.integers(0, 10_000),
+    st.integers(2, 24),
+    st.integers(1, 3),
+    st.booleans(),
+    st.floats(0.0, 0.5),
+)
+@settings(max_examples=60, deadline=None)
+def test_spt_parents_matches_reference_with_unreachable_vertices(
+    seed, core, isolated, directed, drop
+):
+    # Vertices >= core have no edges, so every row has unreachable
+    # entries; a random share of the rest is reset to inf, as the
+    # incremental repair does to its affected cone.
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, 4 * core))
+    g = Graph.from_edges(
+        core + isolated, rng.integers(0, core, m), rng.integers(0, core, m),
+        rng.integers(1, 9, m).astype(float),
+        directed=directed, symmetrize=not directed,
+    )
+    es, ix, w = g.edge_sources, g.indices, g.weights
+    for s in range(0, g.n, 3):
+        dist = dijkstra_reference(g, s)
+        dist[rng.random(g.n) < drop] = np.inf
+        assert np.array_equal(
+            spt_parents(es, ix, w, dist), _spt_parents_reference(es, ix, w, dist)
+        )
+        # The in-tree form (edge arrays swapped) over the same vector.
+        assert np.array_equal(
+            spt_parents(ix, es, w, dist), _spt_parents_reference(ix, es, w, dist)
+        )

@@ -126,6 +126,38 @@ class TestBuildChaos:
         finally:
             eng.close()
 
+    def test_exhausted_build_not_retried_per_query(self):
+        # Once the retry budget is spent, queries use the exact fallback
+        # and never run the build again; only a graph change retries it.
+        install_injector(
+            FaultPlan.single("labels.build", "exception", at=tuple(range(512)))
+        )
+        eng = QueryEngine(G, "rho", 64, mode="p2p", num_landmarks=8, retries=1)
+        try:
+            failures = eng.stats()["label_build_failures"]
+            assert failures == 2
+            rng = np.random.default_rng(6)
+            for _ in range(5):
+                s, t = map(int, rng.integers(0, G.n, 2))
+                ref = float(dijkstra_reference(G, s)[t])
+                d = eng.dist(s, t)
+                assert d == ref or (np.isinf(d) and np.isinf(ref))
+                assert eng.reachable(s, t) == bool(np.isfinite(ref))
+            assert eng.stats()["label_build_failures"] == failures
+            # A new fingerprint earns a new build, which fails again here ...
+            eng.apply_updates(UpdateBatch(inserts=[(0, 100, 1.0)]))
+            assert eng.stats()["label_build_failures"] == failures + 2
+            eng.dist(0, 100)
+            assert eng.stats()["label_build_failures"] == failures + 2
+            # ... and succeeds once the faults stop.
+            install_injector(None)
+            summary = eng.apply_updates(UpdateBatch(inserts=[(5, 200, 2.0)]))
+            assert summary["labels_rebuilt"] is True and eng.labels_ready
+            ref = float(dijkstra_reference(eng.graph, 5)[200])
+            assert eng.dist(5, 200) == ref
+        finally:
+            eng.close()
+
     def test_corrupt_build_rejected_by_validation(self):
         # A corrupt directive poisons a distance; bundle.validate must veto
         # it inside the retry loop, so the surviving build is clean.
