@@ -197,7 +197,7 @@ def _cmd_batch(args) -> int:
     if not sources:
         raise ReproError("--sources is empty")
     engine = QueryEngine(
-        g, args.algo, args.param, mode=args.mode, seed=args.seed,
+        g, args.algo, args.param, seed=args.seed,
         retries=args.retries, shards=args.shards, partitioner=args.partitioner,
         refine=args.refine, pool_jobs=args.jobs, use_shm=args.shm,
     )
@@ -228,7 +228,7 @@ def _cmd_batch(args) -> int:
     elif args.shards:
         label = f"sharded[{args.shards}]"
     else:
-        label = args.mode
+        label = "fast"
     print(format_table(["metric", "value"], rows,
                        title=f"{label} batch ({args.algo}) on {args.graph}"))
     return 0
@@ -643,8 +643,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algo", default="rho",
                    help="rho, delta or bf (validated by the engine)")
     p.add_argument("--param", type=float, default=None, help="rho or delta")
-    p.add_argument("--mode", choices=["fast", "exact"], default="fast",
-                   help="fast = dense serving path; exact = lockstep metered replay")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--deadline", type=float, default=None,
                    help="per-batch deadline in seconds (default: unbounded)")
@@ -652,7 +650,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="execution retries on transient failure")
     p.add_argument("--jobs", type=int, default=0,
                    help="serve the batch through a pool of N worker processes "
-                        "(fast mode only; 0 = in-process)")
+                        "(0 = in-process; not with --shards)")
     p.add_argument("--shm", action=argparse.BooleanOptionalAction, default=None,
                    help="ship graphs/results to pool workers via shared memory "
                         "(default: auto-detect; --no-shm forces pickle)")

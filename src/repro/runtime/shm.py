@@ -35,8 +35,8 @@ Lifecycle rules (the part that keeps ``/dev/shm`` clean):
   behind (pinned by the leak-check tests, the SIGINT subprocess test, and
   the in-bench leak assertion).
 
-Fallback: call sites (:class:`~repro.serving.pool.SweepPool`,
-:class:`~repro.serving.pool.BatchPool`, the sharded executor) probe
+Fallback: call sites (:class:`~repro.serving.pool.SweepPool` and
+:class:`~repro.serving.pool.BatchPool`) probe
 :func:`shm_available` and degrade to the pickle path when shared memory is
 missing or registration fails, counting the event in ``shm.fallbacks``.
 

@@ -13,7 +13,7 @@ SSSP queries at wall-clock speed and keeps serving them when things break:
 * :mod:`repro.serving.engine` — :class:`QueryEngine` front door with
   batch-aware admission (validation + in-flight dedup + cache
   short-circuit), per-batch deadlines, bounded retries, a circuit breaker,
-  and exact→fast graceful degradation.
+  and sharded→fast graceful degradation.
 * :mod:`repro.serving.supervisor` — :class:`SupervisedPool`: self-healing
   process-pool execution (timeouts, retries with backoff, rebuild on worker
   crash, health probe).

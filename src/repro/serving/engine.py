@@ -1,4 +1,4 @@
-"""Front-door query engine: cache, batch admission, and execution modes.
+"""Front-door query engine: cache, batch admission, and execution planes.
 
 A :class:`QueryEngine` is bound to one graph and one algorithm
 configuration.  ``query_batch`` is the serving entry point: it answers each
@@ -7,15 +7,12 @@ batch that asks for the same vertex twice runs it once), executes the
 residue through one batched engine pass, and returns rows aligned with the
 request order.
 
-Two execution modes:
+Two serving modes:
 
 * ``"fast"`` (default) — the dense
-  :func:`~repro.serving.fastpath.multi_source_distances` engine; identical
-  distances, no work-span accounting, built for throughput.
-* ``"exact"`` — the lockstep :func:`~repro.core.framework.batch_stepping_sssp`
-  replay whose per-source ``StepRecord`` streams match scalar runs
-  bit-for-bit; use it when the caller needs metered results (the analysis
-  layer) rather than raw answers.
+  :func:`~repro.serving.fastpath.multi_source_distances` engine; the
+  stepping algorithms' distances without their work-span accounting
+  (metered ``StepRecord`` streams come from :mod:`repro.core.algorithms`).
 * ``"p2p"`` — fast-path batches **plus** the precomputed point-to-point
   tier (:mod:`repro.labels`): the engine eagerly builds landmark + hub
   label tables at construction (with the engine's retry budget, through
@@ -28,21 +25,24 @@ Two execution modes:
   (loaded in preference to rebuilding, rejected-and-rebuilt when corrupt
   or stale).
 
-Sharded serving: constructing the engine with ``shards >= 1`` routes every
-execution through :func:`~repro.shard.executor.sharded_sssp` over a
-partition built once at construction (``partitioner`` picks the method,
-``shard_jobs`` optionally runs shard windows on a supervised pool).  The
-sharded executor's distances are bit-identical to the unsharded engines, so
-the cache, validation, and degradation story is unchanged — a failing
-sharded path degrades to the fast path exactly like a failing exact path.
+Execution planes, bound once at construction (and rebound on the new CSR
+by :meth:`QueryEngine.apply_updates`):
 
-Pooled serving: ``pool_jobs >= 2`` (fast mode only) executes every batch
-through a persistent :class:`~repro.serving.pool.BatchPool` — the graph
-lives in shared memory (one registration, O(1) handles) and result rows
-come home through a shared arena instead of pickles when the platform has
-the shm plane (``use_shm`` selects; see :mod:`repro.runtime.shm`).  A
-failing pooled batch falls back to the in-process fast path (identical
-distances) and the event is counted in ``stats()["pool_fallbacks"]``.
+* **sharded** — ``shards >= 1`` routes every execution through the serial
+  BSP executor :func:`~repro.shard.executor.sharded_sssp` over a partition
+  built once (``partitioner`` picks the method).  Its distances are
+  bit-identical to the unsharded engine, so the cache, validation, and
+  degradation story is unchanged — a failing sharded path degrades to the
+  fast path.
+* **pooled** — ``pool_jobs >= 2`` executes every fast-path batch through a
+  persistent :class:`~repro.serving.pool.BatchPool`: the graph lives in
+  shared memory (one registration, O(1) handles) and result rows come home
+  through a shared arena instead of pickles when the platform has the shm
+  plane (``use_shm`` selects; see :mod:`repro.runtime.shm`).  A failing
+  pooled batch falls back to the in-process fast path (identical
+  distances) and the event is counted in ``stats()["pool_fallbacks"]``.
+* **local** — otherwise, the in-process fast path.
+
 Every executed batch records the transport that produced it
 (``"shm"``/``"pickle"`` from the pool, ``"local"`` for in-process
 execution) in ``stats()["transports"]``; ``stats()["transport"]`` is the
@@ -67,8 +67,8 @@ Resilience (all off the hot path unless something goes wrong):
   :class:`~repro.utils.errors.CircuitOpenError` while cache hits are still
   served; after ``cooldown`` seconds the circuit half-opens and one trial
   batch decides between closing (success) and re-opening (failure);
-* **graceful degradation** — when the ``exact`` path fails, the engine
-  falls back to the ``fast`` path (bit-identical distances by construction)
+* **graceful degradation** — when the sharded path fails, the engine
+  falls back to the fast path (bit-identical distances by construction)
   and counts the event in ``stats()["degraded"]``.
 
 Dynamic graphs: :meth:`QueryEngine.apply_updates` applies an edge-update
@@ -81,11 +81,10 @@ recompute for that entry, and failing that the entry is simply dropped
 (the next query recomputes) — updates never leave wrong answers behind.
 
 Fault-injection sites: ``engine.execute`` fires on every execution attempt;
-``engine.exact`` (resp. ``engine.sharded``) additionally fires on the exact
-(resp. sharded) path only — which is what lets the chaos suite force a
-degradation without touching the fallback; ``engine.update`` fires on every
-cache-repair attempt inside :meth:`QueryEngine.apply_updates`;
-``labels.build`` / ``labels.lookup`` fire inside the label tier (see
+``engine.sharded`` additionally fires on the sharded path only — which is
+what lets the chaos suite force a degradation without touching the
+fallback; ``engine.update`` fires on every cache-repair attempt inside
+:meth:`QueryEngine.apply_updates`; ``labels.build`` / ``labels.lookup`` fire inside the label tier (see
 :mod:`repro.labels`).
 """
 
@@ -99,12 +98,7 @@ import time
 
 import numpy as np
 
-from repro.core.algorithms import (
-    DEFAULT_RHO,
-    bellman_ford_batch,
-    delta_star_stepping_batch,
-    rho_stepping_batch,
-)
+from repro.core.algorithms import DEFAULT_RHO
 from repro.graphs.csr import Graph
 from repro.obs import OBS
 from repro.serving.cache import ResultCache
@@ -147,11 +141,12 @@ class QueryEngine:
         ρ for ``"rho"`` (defaults to :data:`~repro.core.algorithms.DEFAULT_RHO`),
         Δ for ``"delta"`` (required); ignored for ``"bf"``.
     mode:
-        ``"fast"``, ``"exact"`` or ``"p2p"`` (see module docstring).
+        ``"fast"`` or ``"p2p"`` (see module docstring).
     cache_size:
         LRU capacity in distance vectors.
     seed:
-        Seed for exact-mode runs (fast mode is deterministic and seed-free).
+        Seed for partitioning (``shards``), the label build (``"p2p"``)
+        and incremental repair; the fast path itself is seed-free.
     retries:
         Extra execution attempts after a transient failure (0 = none).
     deadline:
@@ -165,9 +160,7 @@ class QueryEngine:
         ``0`` (default) serves from the unsharded engines; ``>= 1`` builds a
         validated :class:`~repro.shard.sharded_graph.ShardedGraph` once and
         serves every execution through the BSP sharded executor
-        (bit-identical distances).  Incompatible with ``mode="exact"`` —
-        the metered lockstep replay and the sharded driver are different
-        execution paths.
+        (bit-identical distances).
     partitioner:
         Partition method when ``shards >= 1`` (see
         :data:`repro.shard.partition.PARTITIONERS`).
@@ -175,15 +168,11 @@ class QueryEngine:
         For ``partitioner="fennel"``: run the boundary-vertex refinement
         sweep after the streaming pass (default on).  Ignored by the other
         partitioners.
-    shard_jobs:
-        ``>= 2`` runs each superstep's shard windows on a supervised
-        process pool of that many workers; ``0``/``1`` runs them serially.
     pool_jobs:
         ``>= 2`` serves every fast-mode batch through a persistent
         :class:`~repro.serving.pool.BatchPool` of that many workers;
         ``0``/``1`` (default) executes in process.  Incompatible with
-        ``mode="exact"`` and with ``shards >= 1`` (those are different
-        execution paths).
+        ``shards >= 1`` (a different execution plane).
     use_shm:
         Transport for the pooled path: ``None`` auto-probes the
         shared-memory plane, ``True`` prefers it (degrading with a warning
@@ -215,7 +204,6 @@ class QueryEngine:
         shards: int = 0,
         partitioner: str = "contiguous",
         refine: bool = True,
-        shard_jobs: int = 0,
         pool_jobs: int = 0,
         use_shm: "bool | None" = None,
         num_landmarks: int = 16,
@@ -224,27 +212,20 @@ class QueryEngine:
     ) -> None:
         if algo not in ("rho", "delta", "bf"):
             raise ParameterError(f"unknown algo {algo!r}; choose rho, delta or bf")
-        if mode not in ("fast", "exact", "p2p"):
-            raise ParameterError(f"unknown mode {mode!r}; choose fast, exact or p2p")
+        if mode not in ("fast", "p2p"):
+            raise ParameterError(f"unknown mode {mode!r}; choose fast or p2p")
         if labels_path is not None and mode != "p2p":
             raise ParameterError("labels_path requires mode='p2p'")
         if num_landmarks < 1:
             raise ParameterError(f"num_landmarks must be >= 1, got {num_landmarks}")
         if shards < 0:
             raise ParameterError(f"shards must be >= 0, got {shards}")
-        if shards and mode == "exact":
-            raise ParameterError(
-                "shards and mode='exact' are mutually exclusive: the sharded "
-                "executor is its own execution path, not a metered replay"
-            )
-        if shard_jobs < 0:
-            raise ParameterError(f"shard_jobs must be >= 0, got {shard_jobs}")
         if pool_jobs < 0:
             raise ParameterError(f"pool_jobs must be >= 0, got {pool_jobs}")
-        if pool_jobs >= 2 and (mode == "exact" or shards):
+        if pool_jobs >= 2 and shards:
             raise ParameterError(
-                "pool_jobs requires the fast path: the exact replay and the "
-                "sharded executor are their own execution planes"
+                "pool_jobs requires the fast path: the sharded executor is "
+                "its own execution plane"
             )
         if retries < 0:
             raise ParameterError(f"retries must be >= 0, got {retries}")
@@ -268,32 +249,17 @@ class QueryEngine:
         self.mode = mode
         self.shards = int(shards)
         self.partitioner = partitioner
-        self.shard_jobs = int(shard_jobs)
-        self._sharded = None
-        if self.shards:
-            from repro.shard import ShardedGraph
-
-            opts = {"refine": bool(refine)} if partitioner == "fennel" else {}
-            self._sharded = ShardedGraph.build(
-                graph, self.shards, partitioner, seed=seed, **opts
-            )
         self.seed = seed
         self.retries = retries
         self.deadline = deadline
         self.failure_threshold = failure_threshold
         self.cooldown = cooldown
-        # Remembered for execution-plane rebuilds after apply_updates().
         self._refine = bool(refine)
         self._use_shm = use_shm
         self.pool_jobs = int(pool_jobs)
+        self._sharded = None
         self._pool = None
-        if self.pool_jobs >= 2:
-            from repro.serving.pool import BatchPool
-
-            self._pool = BatchPool(
-                graph, self.pool_jobs, algo=self.algo, param=self.param,
-                use_shm=use_shm, retries=retries,
-            )
+        self._bind_plane(graph)
         self.cache = ResultCache(cache_size)
         # Serving counters, updated in place; ``stats()`` hands out a deep
         # copy so callers can never mutate engine state through the dict.
@@ -302,7 +268,7 @@ class QueryEngine:
             "deduped": 0,
             # sources actually executed
             "executed": 0,
-            # batches served by the fast path after the exact path failed
+            # batches served by the fast path after the sharded path failed
             "degraded": 0,
             # total failed execution attempts over the engine's lifetime
             "exec_failures": 0,
@@ -585,6 +551,26 @@ class QueryEngine:
         )
         return self._label_index
 
+    def _p2p_begin(self, vertices):
+        """Shared preamble of the p2p entry points.
+
+        Checks the mode, admits ``vertices``, counts the query, and resolves
+        the live label index — ``None`` (counted as a label fallback) when
+        the caller must answer from the SSSP path.  Returns
+        ``(admitted, index)``.
+        """
+        self._require_p2p()
+        vertices = self._admit(vertices)
+        self._counters["p2p_queries"] += 1
+        index = self._ensure_labels()
+        if index is None:
+            self._counters["label_fallbacks"] += 1
+        if OBS.enabled:
+            OBS.registry.inc("serving.engine.p2p_queries")
+            if index is None:
+                OBS.registry.inc("serving.engine.label_fallbacks")
+        return vertices, index
+
     def dist(self, source: int, target: int) -> float:
         """Exact point-to-point distance (``inf`` when unreachable).
 
@@ -592,42 +578,25 @@ class QueryEngine:
         bound validation; otherwise answered from the cached SSSP path —
         bit-identical either way.
         """
-        self._require_p2p()
-        source, target = self._admit([source, target])
-        self._counters["p2p_queries"] += 1
-        if OBS.enabled:
-            OBS.registry.inc("serving.engine.p2p_queries")
-        index = self._ensure_labels()
+        (source, target), index = self._p2p_begin((source, target))
         if index is None:
-            self._counters["label_fallbacks"] += 1
-            if OBS.enabled:
-                OBS.registry.inc("serving.engine.label_fallbacks")
             return float(self._label_fallback_row(source)[target])
         return index.dist(source, target)
 
     def reachable(self, source: int, target: int) -> bool:
         """Whether a ``source -> target`` path exists (p2p mode)."""
-        self._require_p2p()
-        source, target = self._admit([source, target])
-        self._counters["p2p_queries"] += 1
-        index = self._ensure_labels()
+        (source, target), index = self._p2p_begin((source, target))
         if index is None:
-            self._counters["label_fallbacks"] += 1
             return bool(np.isfinite(self._label_fallback_row(source)[target]))
         return index.reachable(source, target)
 
     def knearest(self, target: int, sources, k: int) -> "list[tuple[int, float]]":
         """The ``k`` sources nearest to ``target`` as ``(source, dist)`` pairs."""
-        self._require_p2p()
-        (target,) = self._admit([target])
-        sources = self._admit(sources)
         if k < 1:
             raise ParameterError(f"k must be >= 1, got {k}")
-        self._counters["p2p_queries"] += 1
-        index = self._ensure_labels()
+        (target, *sources), index = self._p2p_begin([target, *sources])
         if index is not None:
             return index.knearest(target, sources, k)
-        self._counters["label_fallbacks"] += 1
         rows = self.query_batch(sources)
         pairs = sorted(
             (float(rows[i, target]), s)
@@ -742,29 +711,47 @@ class QueryEngine:
     # ------------------------------------------------------------------ #
     # execution
 
-    def _execute_resilient(self, sources: list[int], deadline_at) -> np.ndarray:
-        """Execute with retries, circuit accounting, and path→fast fallback."""
+    def _bind_plane(self, graph: Graph) -> None:
+        """Bind the execution plane (sharded partition or batch pool) to ``graph``.
+
+        Runs at construction and again in :meth:`apply_updates`: both planes
+        hold the CSR they were built on, so a graph change rebuilds them.
+        """
         if self.shards:
-            path = "sharded"
-        elif self.mode == "exact":
-            path = "exact"
-        else:
-            path = "fast"
+            from repro.shard import ShardedGraph
+
+            opts = {"refine": self._refine} if self.partitioner == "fennel" else {}
+            self._sharded = ShardedGraph.build(
+                graph, self.shards, self.partitioner, seed=self.seed, **opts
+            )
+        elif self.pool_jobs >= 2:
+            from repro.serving.pool import BatchPool
+
+            if self._pool is not None:
+                self._pool.close()
+            self._pool = BatchPool(
+                graph, self.pool_jobs, algo=self.algo, param=self.param,
+                use_shm=self._use_shm, retries=self.retries,
+            )
+
+    def _execute_resilient(self, sources: list[int], deadline_at) -> np.ndarray:
+        """Execute with retries, circuit accounting, and sharded→fast fallback."""
+        sharded = self._sharded is not None
         try:
-            dist = self._attempts(sources, deadline_at, path=path)
+            dist = self._attempts(sources, deadline_at, sharded=sharded)
         except (DeadlineExceeded, CircuitOpenError):
             raise
         except Exception as exc:
-            if path == "fast":
+            if not sharded:
                 if isinstance(exc, ReproError):
                     raise
                 raise ExecutionError(f"batch execution failed: {exc}") from exc
-            # Graceful degradation: the exact (metered replay) or sharded
-            # (BSP) path is down; the fast path produces bit-identical
-            # distances, so serve those rather than failing the batch.
-            _LOG.warning("%s path failed (%s); degrading batch to the fast path", path, exc)
+            # Graceful degradation: the sharded (BSP) path is down; the fast
+            # path produces bit-identical distances, so serve those rather
+            # than failing the batch.
+            _LOG.warning("sharded path failed (%s); degrading batch to the fast path", exc)
             try:
-                dist = self._attempts(sources, deadline_at, path="fast")
+                dist = self._attempts(sources, deadline_at, sharded=False)
             except (DeadlineExceeded, CircuitOpenError):
                 raise
             except Exception as fast_exc:
@@ -777,7 +764,7 @@ class QueryEngine:
         self._record_success()
         return dist
 
-    def _attempts(self, sources: list[int], deadline_at, *, path: str) -> np.ndarray:
+    def _attempts(self, sources: list[int], deadline_at, *, sharded: bool) -> np.ndarray:
         index = self._exec_seq
         self._exec_seq += 1
         last: "Exception | None" = None
@@ -787,7 +774,9 @@ class QueryEngine:
                 if OBS.enabled:
                     OBS.registry.inc("serving.engine.retries")
             try:
-                return self._execute_once(sources, deadline_at, index, attempt, path=path)
+                return self._execute_once(
+                    sources, deadline_at, index, attempt, sharded=sharded
+                )
             except DeadlineExceeded:
                 self._record_failure()
                 raise
@@ -805,21 +794,21 @@ class QueryEngine:
         raise last
 
     def _execute_once(
-        self, sources: list[int], deadline_at, index: int, attempt: int, *, path: str
+        self, sources: list[int], deadline_at, index: int, attempt: int, *, sharded: bool
     ) -> np.ndarray:
         injector = get_injector()
         directive = injector.fire("engine.execute", index=index, attempt=attempt)
-        if path != "fast":
-            path_directive = injector.fire(f"engine.{path}", index=index, attempt=attempt)
+        if sharded:
+            path_directive = injector.fire("engine.sharded", index=index, attempt=attempt)
             directive = directive or path_directive
         _check_deadline(deadline_at)
         if deadline_at is None:
-            dist = self._run_chunk(sources, path=path, deadline_at=None)
+            dist = self._run_chunk(sources, sharded=sharded, deadline_at=None)
         else:
             outs = []
             for lo in range(0, len(sources), _DEADLINE_CHUNK):
                 outs.append(self._run_chunk(
-                    sources[lo : lo + _DEADLINE_CHUNK], path=path,
+                    sources[lo : lo + _DEADLINE_CHUNK], sharded=sharded,
                     deadline_at=deadline_at,
                 ))
                 _check_deadline(deadline_at)
@@ -831,23 +820,11 @@ class QueryEngine:
         return dist
 
     def _run_chunk(
-        self, sources: list[int], *, path: str, deadline_at: "float | None" = None
+        self, sources: list[int], *, sharded: bool, deadline_at: "float | None" = None
     ) -> np.ndarray:
-        if path == "fast":
-            return self._run_fast(sources)
-        if path == "sharded":
-            self._last_transport = "local"
+        if sharded:
             return self._run_sharded(sources, deadline_at)
-        self._last_transport = "local"
-        if self.algo == "rho":
-            results = rho_stepping_batch(self.graph, sources, self.param, seed=self.seed)
-        elif self.algo == "delta":
-            results = delta_star_stepping_batch(
-                self.graph, sources, self.param, seed=self.seed
-            )
-        else:
-            results = bellman_ford_batch(self.graph, sources, seed=self.seed)
-        return np.stack([r.dist for r in results])
+        return self._run_fast(sources)
 
     def _run_fast(self, sources: list[int]) -> np.ndarray:
         """The fast path: pooled when configured, in-process otherwise.
@@ -898,11 +875,11 @@ class QueryEngine:
         """
         from repro.shard import sharded_sssp
 
+        self._last_transport = "local"
         rows = [
             sharded_sssp(
                 self.graph, s, self._make_policy(),
-                sharded=self._sharded, seed=self.seed, jobs=self.shard_jobs,
-                deadline_at=deadline_at,
+                sharded=self._sharded, seed=self.seed, deadline_at=deadline_at,
             ).dist
             for s in sources
         ]
@@ -968,21 +945,7 @@ class QueryEngine:
             self._label_index = None
         self.graph = new_graph
         self._labels_given_up = None
-        if self.shards:
-            from repro.shard import ShardedGraph
-
-            opts = {"refine": self._refine} if self.partitioner == "fennel" else {}
-            self._sharded = ShardedGraph.build(
-                new_graph, self.shards, self.partitioner, seed=self.seed, **opts
-            )
-        if self._pool is not None:
-            from repro.serving.pool import BatchPool
-
-            self._pool.close()
-            self._pool = BatchPool(
-                new_graph, self.pool_jobs, algo=self.algo, param=self.param,
-                use_shm=self._use_shm, retries=self.retries,
-            )
+        self._bind_plane(new_graph)
         repaired = degraded = 0
         for key, warm in dropped.items():
             source = key[4]

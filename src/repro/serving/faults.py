@@ -22,7 +22,6 @@ Named injection sites wired through the stack:
 =================  ============================================================
 ``pool.worker``    start of every supervised pool task (worker process side)
 ``engine.execute`` :meth:`QueryEngine._execute_once`, before any kernel work
-``engine.exact``   additionally fired on the exact (metered replay) path only
 ``engine.sharded`` additionally fired on the sharded (BSP) path only
 ``engine.update``  every cache-repair attempt inside
                    :meth:`QueryEngine.apply_updates` (one index per warm

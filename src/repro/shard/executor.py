@@ -4,9 +4,11 @@ The driver runs paper Algorithm 1 bulk-synchronously over a
 :class:`~repro.shard.sharded_graph.ShardedGraph`: every **superstep** picks
 one global threshold θ (reusing the *unchanged* scalar policies — Δ*, ρ,
 Bellman-Ford, ...), lets every shard extract and fully drain its local
-frontier inside the window (serially or on a
-:class:`~repro.serving.supervisor.SupervisedPool`), then exchanges the
-improved boundary distances along the precomputed halo routing tables.
+frontier inside the window, then exchanges the improved boundary distances
+along the precomputed halo routing tables.  Shards run one after another in
+this process: the executor is the simulated distribution model (its
+``StepRecord`` stream and halo counters are the output), not a source of
+wall-clock speed-up.
 
 **Bucket-fusion drains** (Zhang et al., CGO 2020, applied across shards):
 with ``options.fusion`` (the default) a superstep does not stop at one
@@ -146,70 +148,6 @@ def _local_window(local, n_owned, dist, frontier, theta, workspace):
 
 
 # --------------------------------------------------------------------------- #
-# Pool workers (stateless, idempotent: pure function of their arguments)
-# --------------------------------------------------------------------------- #
-
-_WORKER_SHARDS: "list[tuple] | None" = None
-
-
-def _install_worker_shards(shard_data) -> None:
-    """Pool initializer: pin every shard's local CSR in the worker process.
-
-    Each entry is either the local :class:`~repro.graphs.csr.Graph` itself
-    (pickle transport) or an O(1)-picklable
-    :class:`~repro.runtime.shm.SharedGraphHandle` whose attach maps the
-    parent's CSR pages read-only (shm transport) — rebuilt workers re-attach
-    the same segments instead of re-unpickling the shards.
-    """
-    from repro.runtime.shm import SharedGraphHandle
-
-    global _WORKER_SHARDS
-    resolved = []
-    for local, n_owned in shard_data:
-        if isinstance(local, SharedGraphHandle):
-            local = local.attach()
-        resolved.append((local, n_owned, Workspace(max(1, local.n))))
-    _WORKER_SHARDS = resolved
-
-
-def _worker_window(shard_index, dist_loc, frontier, theta):
-    """Run one shard's θ-window on a private distance copy.
-
-    Pure function of its arguments (the pickled ``dist_loc`` is already a
-    private copy), so the supervised pool may re-execute it after a crash or
-    timeout without changing the outcome.  Returns the touched owned/halo
-    locals with their final values plus the window's work counters.
-    """
-    local, n_owned, workspace = _WORKER_SHARDS[shard_index]
-    dist = np.asarray(dist_loc)
-    owned_t, halo_t, edges, successes, waves, max_task = _local_window(
-        local, n_owned, dist, frontier, theta, workspace
-    )
-    oid = np.flatnonzero(owned_t)
-    hid = np.flatnonzero(halo_t) + n_owned
-    return (oid, dist[oid], hid, dist[hid], edges, successes, waves, max_task)
-
-
-def _valid_window_payload(payload) -> bool:
-    """Parent-side validation for supervised workers: shape and finiteness.
-
-    Catches the fault injector's payload corruption (``None`` / negative
-    scalars) as well as any truncated pickle before the result is applied.
-    """
-    if not isinstance(payload, tuple) or len(payload) != 8:
-        return False
-    oid, ovals, hid, hvals = payload[:4]
-    return (
-        isinstance(oid, np.ndarray)
-        and isinstance(hid, np.ndarray)
-        and len(oid) == len(ovals)
-        and len(hid) == len(hvals)
-        and (len(ovals) == 0 or bool(np.isfinite(ovals).all() and (ovals >= 0).all()))
-        and (len(hvals) == 0 or bool(np.isfinite(hvals).all() and (hvals >= 0).all()))
-    )
-
-
-# --------------------------------------------------------------------------- #
 # Policy adapters
 # --------------------------------------------------------------------------- #
 
@@ -329,11 +267,6 @@ def sharded_sssp(
     sharded: "ShardedGraph | None" = None,
     options: "SteppingOptions | None" = None,
     seed=None,
-    jobs: int = 0,
-    pool_timeout: "float | None" = None,
-    pool_retries: int = 2,
-    fault_plan=None,
-    use_shm: "bool | None" = None,
     deadline_at: "float | None" = None,
 ) -> SSSPResult:
     """Run Algorithm 1 over a sharded graph, superstep by superstep.
@@ -369,20 +302,6 @@ def sharded_sssp(
     seed:
         Seed for partitioning (LDG), per-shard PQ scattering, and policy
         sampling (ρ-stepping's θ estimate).
-    jobs:
-        ``0``/``1`` runs shards serially in-process; ``>= 2`` runs each
-        superstep's shard windows on a :class:`SupervisedPool` with that
-        many workers (timeouts/retries/crash rebuilds per
-        ``pool_timeout``/``pool_retries``/``fault_plan``).  Both paths apply
-        the same state transitions, so distances are identical.
-    use_shm:
-        Transport for the pooled windows' shard CSRs: ``None`` auto-probes
-        the shared-memory plane (:mod:`repro.runtime.shm`), ``True``
-        prefers it (degrading with a warning if registration fails),
-        ``False`` forces the pickle transport.  Per-window mutable state
-        (the distance snapshot) always pickles — it must be a private copy
-        for idempotent re-execution.  ``result.params["pool_transport"]``
-        records the choice.
     deadline_at:
         Absolute ``time.monotonic()`` deadline checked **between BSP
         supersteps** (and fusion rounds are bounded by their superstep): a
@@ -434,83 +353,6 @@ def sharded_sssp(
     ctx = _ShardedCtx(graph, states, global_pq, rng, options.dense_frac)
     policy.reset(ctx)
 
-    pool = None
-    shm_handles: "list" = []
-    pool_transport = None
-    if jobs >= 2:
-        from repro.runtime.shm import get_manager, shm_available
-        from repro.serving.supervisor import SupervisedPool
-
-        pool_transport = "pickle"
-        shard_data = [(st.shard.local, st.shard.n_owned) for st in states]
-        if shm_available() if use_shm is None else use_shm:
-            try:
-                mgr = get_manager()
-                handles = [mgr.share_graph(st.shard.local) for st in states]
-            except Exception as exc:
-                import logging
-
-                logging.getLogger("repro.shard").warning(
-                    "shared-memory registration of shard CSRs failed (%s); "
-                    "falling back to the pickle transport", exc,
-                )
-                if OBS.enabled:
-                    OBS.registry.inc("shm.fallbacks")
-            else:
-                shm_handles = handles
-                shard_data = [
-                    (h, st.shard.n_owned) for h, st in zip(handles, states)
-                ]
-                pool_transport = "shm"
-        pool = SupervisedPool(
-            jobs,
-            initializer=_install_worker_shards,
-            initargs=(shard_data,),
-            timeout=pool_timeout,
-            retries=pool_retries,
-            seed=0 if seed is None else int(seed) if np.isscalar(seed) else 0,
-            fault_plan=fault_plan,
-        )
-
-    def run_round(active, frontiers, theta, rec, shard_edges):
-        """One drain round over the active shards (serial or pooled)."""
-        if pool is None:
-            for i in active:
-                st = states[i]
-                owned_t, halo_t, edges, succ, waves, max_task = _local_window(
-                    st.shard.local, st.shard.n_owned, st.dist,
-                    frontiers[i], theta, st.ws,
-                )
-                _apply_window(st, owned_t, halo_t, theta)
-                shard_edges[i] += edges
-                rec.edges += edges
-                rec.relax_success += succ
-                rec.waves = max(rec.waves, waves)
-                rec.max_task = max(rec.max_task, max_task)
-        else:
-            tasks = [
-                (i, states[i].dist.copy(), frontiers[i], float(theta))
-                for i in active
-            ]
-            payloads = pool.map_supervised(
-                _worker_window, tasks, validate=_valid_window_payload
-            )
-            for i, payload in zip(active, payloads):
-                st = states[i]
-                oid, ovals, hid, hvals, edges, succ, waves, max_task = payload
-                owned_t = np.zeros(st.shard.n_owned, dtype=bool)
-                halo_t = np.zeros(st.shard.n_halo, dtype=bool)
-                # The worker improved from an identical snapshot, so the
-                # min-writes land exactly the serial path's values.
-                owned_t[oid[write_min(st.dist, oid, ovals)]] = True
-                halo_t[hid[write_min(st.dist, hid, hvals)] - st.shard.n_owned] = True
-                _apply_window(st, owned_t, halo_t, theta)
-                shard_edges[i] += edges
-                rec.edges += edges
-                rec.relax_success += succ
-                rec.waves = max(rec.waves, waves)
-                rec.max_task = max(rec.max_task, max_task)
-
     def extract_all(theta):
         """Every shard's in-window frontier (empty queues skipped outright)."""
         frontiers = []
@@ -532,110 +374,111 @@ def sharded_sssp(
     fusion_rounds_total = 0
     t0 = time.perf_counter()
     guard = 0
-    try:
-        while len(global_pq) > 0:
-            if deadline_at is not None and time.monotonic() > deadline_at:
-                raise DeadlineExceeded(
-                    f"sharded run missed its deadline after "
-                    f"{stats.num_steps} supersteps (|Q|={len(global_pq)})"
+    while len(global_pq) > 0:
+        if deadline_at is not None and time.monotonic() > deadline_at:
+            raise DeadlineExceeded(
+                f"sharded run missed its deadline after "
+                f"{stats.num_steps} supersteps (|Q|={len(global_pq)})"
+            )
+        step_span = tracer.begin("shard.superstep") if trace_on else None
+        guard += 1
+        if options.max_steps and guard > options.max_steps:
+            raise RuntimeError(
+                f"{policy.name}: exceeded max_steps={options.max_steps} "
+                "supersteps; likely a policy that fails to advance θ"
+            )
+        decision = policy.decide(ctx)
+        theta = decision.theta
+        frontiers, extracted, scanned = extract_all(theta)
+        if extracted == 0:
+            # θ from any supported policy is >= the global minimum key
+            # and extraction uses <=, so *some* shard must extract.
+            raise RuntimeError(
+                f"{policy.name}: empty superstep at theta={theta} with "
+                f"|Q|={len(global_pq)}"
+            )
+        rec = StepRecord(
+            index=ctx.step_index,
+            theta=float(theta),
+            mode="bsp",
+            extract_scanned=scanned,
+            sample_work=decision.sample_work,
+        )
+        if decision.substep and stats.steps:
+            rec.index = stats.steps[-1].index  # substeps share the index
+
+        # Fusion pays off only when this window would otherwise recur:
+        # θ = ∞ (ρ's tail, Bellman-Ford — the whole residual problem is
+        # one window) or a substep decision (Δ re-draining the same θ).
+        # A finite, advancing θ (Δ*, Dijkstra) covers in-window halo
+        # leftovers in the *next* superstep anyway, so fusing there only
+        # adds extract/exchange rounds without saving a policy decision.
+        fuse_now = fuse and (decision.substep or not np.isfinite(theta))
+        shard_edges = np.zeros(part.num_shards, dtype=_INT)
+        windows_run = 0
+        fusion_rounds = 0
+        raw_step = packed_step = 0
+        while True:
+            rec.frontier += extracted
+            for i, st in enumerate(states):
+                if not frontiers[i].size:
+                    continue
+                windows_run += 1
+                owned_t, halo_t, edges, succ, waves, max_task = _local_window(
+                    st.shard.local, st.shard.n_owned, st.dist,
+                    frontiers[i], theta, st.ws,
                 )
-            step_span = tracer.begin("shard.superstep") if trace_on else None
-            guard += 1
-            if options.max_steps and guard > options.max_steps:
-                raise RuntimeError(
-                    f"{policy.name}: exceeded max_steps={options.max_steps} "
-                    "supersteps; likely a policy that fails to advance θ"
-                )
-            decision = policy.decide(ctx)
-            theta = decision.theta
+                _apply_window(st, owned_t, halo_t, theta)
+                shard_edges[i] += edges
+                rec.edges += edges
+                rec.relax_success += succ
+                rec.waves = max(rec.waves, waves)
+                rec.max_task = max(rec.max_task, max_task)
+            raw, packed = _exchange_halos(states, n)
+            raw_step += raw
+            packed_step += packed
+            if not fuse_now:
+                break
+            # Fusion: halo arrivals at or below θ belong to this window —
+            # drain them now at the same θ instead of paying another
+            # policy decision (and another full superstep) for them.
             frontiers, extracted, scanned = extract_all(theta)
             if extracted == 0:
-                # θ from any supported policy is >= the global minimum key
-                # and extraction uses <=, so *some* shard must extract.
-                raise RuntimeError(
-                    f"{policy.name}: empty superstep at theta={theta} with "
-                    f"|Q|={len(global_pq)}"
-                )
-            rec = StepRecord(
-                index=ctx.step_index,
-                theta=float(theta),
-                mode="bsp",
-                extract_scanned=scanned,
-                sample_work=decision.sample_work,
-            )
-            if decision.substep and stats.steps:
-                rec.index = stats.steps[-1].index  # substeps share the index
+                break
+            fusion_rounds += 1
+            rec.extract_scanned += scanned
 
-            # Fusion pays off only when this window would otherwise recur:
-            # θ = ∞ (ρ's tail, Bellman-Ford — the whole residual problem is
-            # one window) or a substep decision (Δ re-draining the same θ).
-            # A finite, advancing θ (Δ*, Dijkstra) covers in-window halo
-            # leftovers in the *next* superstep anyway, so fusing there only
-            # adds extract/exchange rounds without saving a policy decision.
-            fuse_now = fuse and (decision.substep or not np.isfinite(theta))
-            shard_edges = np.zeros(part.num_shards, dtype=_INT)
-            windows_run = 0
-            fusion_rounds = 0
-            raw_step = packed_step = 0
-            while True:
-                active = [i for i, f in enumerate(frontiers) if f.size]
-                windows_run += len(active)
-                rec.frontier += extracted
-                run_round(active, frontiers, theta, rec, shard_edges)
-                raw, packed = _exchange_halos(states, n)
-                raw_step += raw
-                packed_step += packed
-                if not fuse_now:
-                    break
-                # Fusion: halo arrivals at or below θ belong to this window —
-                # drain them now at the same θ instead of paying another
-                # policy decision (and another full superstep) for them.
-                frontiers, extracted, scanned = extract_all(theta)
-                if extracted == 0:
-                    break
-                fusion_rounds += 1
-                rec.extract_scanned += scanned
-
-            halo_messages += packed_step
-            halo_raw_total += raw_step
-            fusion_rounds_total += fusion_rounds
-            stats.add(rec)
-            if OBS.enabled:
-                if OBS.registry.enabled:
-                    reg = OBS.registry
-                    reg.inc("shard.supersteps")
-                    reg.inc("shard.frontier", rec.frontier)
-                    reg.inc("shard.edges", rec.edges)
-                    reg.inc("shard.halo.messages", packed_step)
-                    reg.inc("shard.halo_coalesced", raw_step - packed_step)
-                    reg.inc("shard.fusion_rounds", fusion_rounds)
-                    reg.inc("shard.active_shards", windows_run)
-                    work = shard_edges[shard_edges > 0]
-                    if work.size:
-                        reg.set_gauge(
-                            "shard.superstep.imbalance",
-                            float(work.max() / work.mean()),
-                        )
-                if step_span is not None:
-                    step_span.set(
-                        index=rec.index, theta=rec.theta, frontier=rec.frontier,
-                        edges=rec.edges, active_shards=windows_run,
-                        halo_messages=packed_step, halo_raw=raw_step,
-                        halo_coalesced=raw_step - packed_step,
-                        fusion_rounds=fusion_rounds, waves=rec.waves,
-                        shard_edges=[int(v) for v in shard_edges],
+        halo_messages += packed_step
+        halo_raw_total += raw_step
+        fusion_rounds_total += fusion_rounds
+        stats.add(rec)
+        if OBS.enabled:
+            if OBS.registry.enabled:
+                reg = OBS.registry
+                reg.inc("shard.supersteps")
+                reg.inc("shard.frontier", rec.frontier)
+                reg.inc("shard.edges", rec.edges)
+                reg.inc("shard.halo.messages", packed_step)
+                reg.inc("shard.halo_coalesced", raw_step - packed_step)
+                reg.inc("shard.fusion_rounds", fusion_rounds)
+                reg.inc("shard.active_shards", windows_run)
+                work = shard_edges[shard_edges > 0]
+                if work.size:
+                    reg.set_gauge(
+                        "shard.superstep.imbalance",
+                        float(work.max() / work.mean()),
                     )
-                    tracer.end(step_span)
-            ctx.step_index += 1
-    finally:
-        if pool is not None:
-            pool.close()
-        if shm_handles:
-            from repro.runtime.shm import get_manager
-
-            mgr = get_manager()
-            for handle in shm_handles:
-                mgr.release_graph(handle)
+            if step_span is not None:
+                step_span.set(
+                    index=rec.index, theta=rec.theta, frontier=rec.frontier,
+                    edges=rec.edges, active_shards=windows_run,
+                    halo_messages=packed_step, halo_raw=raw_step,
+                    halo_coalesced=raw_step - packed_step,
+                    fusion_rounds=fusion_rounds, waves=rec.waves,
+                    shard_edges=[int(v) for v in shard_edges],
+                )
+                tracer.end(step_span)
+        ctx.step_index += 1
 
     dist = np.full(n, np.inf)
     for st in states:
@@ -658,8 +501,6 @@ def sharded_sssp(
             "options": options,
             "num_shards": part.num_shards,
             "partitioner": part.method,
-            "jobs": int(jobs),
-            "pool_transport": pool_transport,
             "cut_edges": part.cut_edges,
             "halo_messages": halo_messages,
             "halo_coalesced": halo_raw_total - halo_messages,

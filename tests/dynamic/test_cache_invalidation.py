@@ -14,11 +14,15 @@ The key invariants:
 from __future__ import annotations
 
 import numpy as np
+import pytest
+from scipy.sparse.csgraph import dijkstra
 
 from repro.core.framework import stepping_sssp
 from repro.core.policies import RhoPolicy
 from repro.dynamic import UpdateBatch, apply_resolved, incremental_sssp, resolve_updates
 from repro.graphs import rmat
+from repro.graphs.interop import to_scipy_sparse
+from repro.runtime import leaked_segments
 from repro.serving import QueryEngine, ResultCache
 from repro.serving.fastpath import multi_source_distances
 
@@ -116,3 +120,37 @@ def test_chained_updates_only_latest_fingerprint_lives():
     # every surviving entry is keyed by the newest fingerprint only
     for key in list(eng.cache._data):
         assert key[1] == eng.graph.fingerprint
+
+
+
+@pytest.mark.parametrize(
+    "plane,plane_batches",
+    [
+        ({}, lambda st: st["transports"]["local"]),
+        ({"shards": 3}, lambda st: st["sharded_execs"]),
+        ({"pool_jobs": 2}, lambda st: st["transports"]["shm"] + st["transports"]["pickle"]),
+    ],
+    ids=["local", "sharded", "pooled"],
+)
+def test_update_rebinds_execution_plane(plane, plane_batches):
+    # The partition and the pool both hold the CSR they were built on;
+    # apply_updates must rebind them.  Warm rows are repaired into cache
+    # hits and never reach the plane, so only cold sources exercise it.
+    u, v = int(G.edge_sources[0]), int(G.indices[0])
+    batch = UpdateBatch(deletes=[(u, v)], inserts=[(5, 200, 3.0), (1, 33, 2.0)])
+    cold = [1, 33, 200, 64]
+    before_update = dijkstra(to_scipy_sparse(G), directed=True, indices=cold)
+    with QueryEngine(G, "rho", 64, **plane) as eng:
+        eng.query_batch([0, 5, 17])
+        eng.apply_updates(batch)
+        before = eng.stats()
+        rows = eng.query_batch(cold)
+        after = eng.stats()
+        graph = eng.graph
+    want = dijkstra(to_scipy_sparse(graph), directed=True, indices=cold)
+    assert np.array_equal(rows, want)
+    assert not np.array_equal(want, before_update)  # the update mattered
+    assert after["executed"] - before["executed"] == len(cold)
+    assert plane_batches(after) == plane_batches(before) + 1
+    assert after["degraded"] == 0 and after["pool_fallbacks"] == 0
+    assert leaked_segments() == []

@@ -21,6 +21,7 @@ from repro.baselines import dijkstra_reference
 from repro.dynamic import UpdateBatch
 from repro.graphs import rmat
 from repro.labels import LabelStore
+from repro.obs import MetricsRegistry, observed
 from repro.serving import QueryEngine, ShortestPathServer
 from repro.serving.cache import graph_id
 from repro.serving.faults import FaultPlan, install_injector
@@ -83,6 +84,28 @@ class TestExactness:
     def test_labels_path_requires_p2p(self, tmp_path, rmat_small):
         with pytest.raises(ParameterError, match="p2p"):
             QueryEngine(rmat_small, "bf", labels_path=tmp_path / "x.labels")
+
+    @pytest.mark.parametrize(
+        "weight,fallbacks", [(3.0, 0), (2.5, 3)], ids=["labels", "refused"]
+    )
+    def test_p2p_counters_match_registry(self, weight, fallbacks):
+        # Every entry point counts in stats() and in the metrics registry
+        # alike — label-served, and (fractional weight) through the fallback.
+        graph = G.apply_updates(UpdateBatch(reweights=[(1, 2, weight)]))
+        eng = QueryEngine(graph, "rho", 64, mode="p2p", num_landmarks=8)
+        registry = MetricsRegistry()
+        try:
+            with observed(registry=registry):
+                eng.dist(0, 1)
+                eng.reachable(3, 10)
+                eng.knearest(9, [0, 7, 14], 2)
+            st = eng.stats()
+        finally:
+            eng.close()
+        counters = registry.snapshot()["counters"]
+        assert st["p2p_queries"] == counters["serving.engine.p2p_queries"] == 3
+        assert st["label_fallbacks"] == fallbacks
+        assert counters.get("serving.engine.label_fallbacks", 0) == fallbacks
 
     def test_stats_expose_label_tier(self, engine):
         engine.dist(0, 1)

@@ -124,12 +124,6 @@ class TestEngineChaos:
         assert np.array_equal(out, fault_free)
         assert eng.stats()["exec_failures"] == 1
 
-    def test_exact_mode_chaos_matches_fault_free(self, road_small):
-        fault_free = QueryEngine(road_small, "rho", mode="exact").query_batch([0, 4])
-        install_injector(FaultPlan.single("engine.execute", "exception", at=(0,), times=1))
-        eng = QueryEngine(road_small, "rho", mode="exact", retries=1)
-        assert np.array_equal(eng.query_batch([0, 4]), fault_free)
-
     def test_hang_trips_deadline(self, rmat_small):
         install_injector(
             FaultPlan.single("engine.execute", "hang", at=(0,), times=99, delay=0.5)
@@ -147,19 +141,6 @@ class TestEngineChaos:
         fault_free = QueryEngine(rmat_small, "bf").query_batch(sources)
         with_deadline = QueryEngine(rmat_small, "bf").query_batch(sources, deadline=60.0)
         assert np.array_equal(with_deadline, fault_free)
-
-    def test_graceful_degradation_exact_to_fast(self, rmat_small):
-        """A broken exact path degrades to the fast path, visibly, correctly."""
-        fault_free = QueryEngine(rmat_small, "rho").query_batch([1, 2])
-        install_injector(
-            FaultPlan.single("engine.exact", "exception", at=None, rate=1.0, times=99)
-        )
-        eng = QueryEngine(rmat_small, "rho", mode="exact", retries=1)
-        out = eng.query_batch([1, 2])
-        assert np.array_equal(out, fault_free)
-        st = eng.stats()
-        assert st["degraded"] == 1
-        assert st["circuit_state"] == "closed"  # the degraded serve is a success
 
 
 class TestCircuitBreaker:

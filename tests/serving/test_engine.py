@@ -1,4 +1,4 @@
-"""QueryEngine: admission (cache + dedupe), alignment, both execution modes."""
+"""QueryEngine: admission (cache + dedupe), alignment, parameters, circuit breaker."""
 
 import threading
 import time
@@ -55,18 +55,6 @@ class TestAdmission:
 
 
 class TestModes:
-    def test_exact_mode_matches_fast_mode(self, road_small):
-        fast = QueryEngine(road_small, "rho", mode="fast")
-        exact = QueryEngine(road_small, "rho", mode="exact")
-        sources = [0, 4, 9]
-        assert np.array_equal(fast.query_batch(sources), exact.query_batch(sources))
-
-    def test_exact_mode_delta(self, gnm_small):
-        eng = QueryEngine(gnm_small, "delta", 4.0, mode="exact")
-        out = eng.query_batch([0, 2])
-        fast = QueryEngine(gnm_small, "delta", 4.0).query_batch([0, 2])
-        assert np.array_equal(out, fast)
-
     def test_rho_param_defaults(self, rmat_small):
         assert QueryEngine(rmat_small, "rho").param == DEFAULT_RHO
 

@@ -48,16 +48,9 @@ def test_sharded_caches_like_any_path(rmat_small):
     assert st["sharded_execs"] == 1  # the second batch was fully cached
 
 
-def test_exact_mode_conflicts_with_shards(rmat_small):
-    with pytest.raises(ParameterError, match="exact"):
-        QueryEngine(rmat_small, "rho", 64, mode="exact", shards=2)
-
-
 def test_invalid_shard_params(rmat_small):
     with pytest.raises(ParameterError):
         QueryEngine(rmat_small, "bf", shards=-1)
-    with pytest.raises(ParameterError):
-        QueryEngine(rmat_small, "bf", shards=2, shard_jobs=-1)
     with pytest.raises(ParameterError, match="unknown partitioner"):
         QueryEngine(rmat_small, "bf", shards=2, partitioner="metis")
 

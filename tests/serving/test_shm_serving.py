@@ -1,9 +1,8 @@
 """Shm plane through the serving stack: leaks, fallback, chaos, transport stats.
 
 The contract under test: the shared-memory transport is an *optimisation*,
-never a semantic change — distances (and for the sharded executor, the
-per-superstep :class:`~repro.runtime.workspan.StepRecord` stream) must be
-bit-identical between the shm and pickle paths, every segment must be gone
+never a semantic change — distances must be bit-identical between the shm
+and pickle paths, every segment must be gone
 after pools close (even when a crash forced a pool rebuild mid-batch), and
 an injected ``shm.attach`` fault must be absorbed by supervised retries.
 """
@@ -11,7 +10,6 @@ an injected ``shm.attach`` fault must be absorbed by supervised retries.
 import numpy as np
 import pytest
 
-from repro.core.policies import RhoPolicy
 from repro.runtime import (
     SHM_PREFIX,
     close_manager,
@@ -20,7 +18,6 @@ from repro.runtime import (
     shm_available,
 )
 from repro.serving import BatchPool, FaultPlan, QueryEngine, multi_source_distances
-from repro.shard import sharded_sssp
 from repro.utils.errors import ParameterError
 
 pytestmark = pytest.mark.skipif(not shm_available(), reason="no shared memory")
@@ -86,20 +83,6 @@ class TestFallback:
         assert np.array_equal(via_shm, serial)
         assert np.array_equal(via_pickle, serial)
 
-    def test_sharded_transports_agree_on_records(self, rmat_small):
-        """Distances *and* the StepRecord stream match across transports."""
-        runs = {
-            shm: sharded_sssp(
-                rmat_small, 0, RhoPolicy(64), num_shards=3, seed=0,
-                jobs=2, use_shm=shm,
-            )
-            for shm in (True, False)
-        }
-        assert runs[True].params["pool_transport"] == "shm"
-        assert runs[False].params["pool_transport"] == "pickle"
-        assert np.array_equal(runs[True].dist, runs[False].dist)
-        assert runs[True].stats.steps == runs[False].stats.steps
-
     def test_rho_and_delta_chunked_match_serial(self, road_small):
         for algo, param in (("rho", 64.0), ("delta", 8.0)):
             serial = multi_source_distances(road_small, SOURCES, algo=algo, param=param)
@@ -149,7 +132,5 @@ class TestEngineTransport:
         assert st["transports"] == {"local": 1, "shm": 0, "pickle": 0}
 
     def test_pool_jobs_rejects_exact_and_sharded(self, rmat_small):
-        with pytest.raises(ParameterError):
-            QueryEngine(rmat_small, "bf", mode="exact", pool_jobs=2)
         with pytest.raises(ParameterError):
             QueryEngine(rmat_small, "bf", shards=2, pool_jobs=2)

@@ -136,15 +136,6 @@ def test_shard_metrics_and_spans(rmat_small):
     assert len(root.find("shard.superstep")) == counters["shard.supersteps"]
 
 
-def test_pool_mode_matches_serial(rmat_small):
-    make = POLICIES["delta-star"]
-    serial = sharded_sssp(rmat_small, 0, make(), num_shards=4, method="ldg", seed=7)
-    pooled = sharded_sssp(rmat_small, 0, make(), num_shards=4, method="ldg", seed=7,
-                          jobs=2)
-    assert np.array_equal(pooled.dist, serial.dist)
-    assert pooled.params["halo_messages"] == serial.params["halo_messages"]
-
-
 def test_max_steps_guard(rmat_small):
     opts = SteppingOptions(max_steps=1)
     with pytest.raises(RuntimeError, match="max_steps"):

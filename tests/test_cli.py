@@ -129,11 +129,15 @@ class TestCommands:
         assert "verified 4 rows" in out
         assert "throughput" in out
 
-    @pytest.mark.parametrize("mode", ["fast", "exact"])
-    def test_batch_modes(self, mode, graph_file, capsys):
+    @pytest.mark.parametrize(
+        "mode,flags", [("fast", []), ("pooled", ["--jobs", "2"])], ids=["fast", "pooled"]
+    )
+    def test_batch_modes(self, mode, flags, graph_file, capsys):
         assert main(["batch", graph_file, "--sources", "1,2", "--algo", "bf",
-                     "--mode", mode, "--verify"]) == 0
-        assert "verified 2 rows" in capsys.readouterr().out
+                     *flags, "--verify"]) == 0
+        out = capsys.readouterr().out
+        assert "verified 2 rows" in out
+        assert mode in out  # the table title names the plane
 
     def test_batch_delta_with_param(self, graph_file, capsys):
         assert main(["batch", graph_file, "--sources", "0", "--algo", "delta",
