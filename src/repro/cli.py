@@ -333,12 +333,11 @@ def _cmd_serve(args) -> int:
         labels_path=args.labels if args.p2p else None,
     )
     server = ShortestPathServer(
-        engine, max_batch=args.max_batch, max_delay=args.max_delay,
+        engine, max_batch=args.max_batch,
         max_queue=args.max_queue, default_deadline=args.deadline,
     )
     print(f"serving {args.algo} on {args.graph} at {args.host}:{args.port} "
-          f"(B={args.max_batch}, T={args.max_delay * 1e3:.1f} ms, "
-          f"queue<={args.max_queue})", file=sys.stderr)
+          f"(B={args.max_batch}, queue<={args.max_queue})", file=sys.stderr)
 
     async def serve_until_signalled() -> None:
         # SIGTERM and SIGINT both cancel this task, so serve_tcp drains and
@@ -725,9 +724,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--param", type=float, default=None, help="rho or delta")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-batch", type=int, default=32,
-                   help="flush a forming batch at this many requests")
-    p.add_argument("--max-delay", type=float, default=0.002,
-                   help="flush a forming batch after this many seconds")
+                   help="most requests per batch; a batch is flushed as "
+                        "soon as the worker is free")
     p.add_argument("--max-queue", type=int, default=256,
                    help="admission queue bound (reject-newest beyond it)")
     p.add_argument("--deadline", type=float, default=None,

@@ -258,111 +258,115 @@ def stepping_sssp(
         if trace_on else None
     )
 
-    rng = as_generator(seed)
-    if dist_init is None:
-        dist = np.full(n, np.inf)
-        dist[source] = 0.0
-        frontier0 = np.array([source], dtype=np.int64)
-    else:
-        dist = np.asarray(dist_init, dtype=np.float64)
-        frontier0 = np.asarray(seeds, dtype=np.int64)
-    if options.pq == "flat":
-        pq: LabPQ = FlatPQ(dist, aug, dense_frac=options.dense_frac, seed=rng)
-    else:
-        pq = TournamentPQ(dist, aug)
-    pq.update(frontier0)
+    try:
+        rng = as_generator(seed)
+        if dist_init is None:
+            dist = np.full(n, np.inf)
+            dist[source] = 0.0
+            frontier0 = np.array([source], dtype=np.int64)
+        else:
+            dist = np.asarray(dist_init, dtype=np.float64)
+            frontier0 = np.asarray(seeds, dtype=np.int64)
+        if options.pq == "flat":
+            pq: LabPQ = FlatPQ(dist, aug, dense_frac=options.dense_frac, seed=rng)
+        else:
+            pq = TournamentPQ(dist, aug)
+        pq.update(frontier0)
 
-    ctx = _Ctx(graph, dist, pq, rng, options.dense_frac)
-    policy.reset(ctx)
-    bidirectional = options.bidirectional and not graph.directed
-    if workspace is None or workspace.n < n:
-        workspace = Workspace(n)
+        ctx = _Ctx(graph, dist, pq, rng, options.dense_frac)
+        policy.reset(ctx)
+        bidirectional = options.bidirectional and not graph.directed
+        if workspace is None or workspace.n < n:
+            workspace = Workspace(n)
 
-    stats = RunStats()
-    visits = np.zeros(n, dtype=np.int64) if record_visits else None
-    t0 = time.perf_counter()
-    guard = 0
+        stats = RunStats()
+        visits = np.zeros(n, dtype=np.int64) if record_visits else None
+        t0 = time.perf_counter()
+        guard = 0
 
-    while len(pq) > 0:
-        step_span = tracer.begin("sssp.step") if trace_on else None
-        guard += 1
-        if options.max_steps and guard > options.max_steps:
-            raise RuntimeError(
-                f"{policy.name}: exceeded max_steps={options.max_steps}; "
-                "likely a policy that fails to advance its threshold"
+        while len(pq) > 0:
+            step_span = tracer.begin("sssp.step") if trace_on else None
+            guard += 1
+            if options.max_steps and guard > options.max_steps:
+                raise RuntimeError(
+                    f"{policy.name}: exceeded max_steps={options.max_steps}; "
+                    "likely a policy that fails to advance its threshold"
+                )
+            decision = policy.decide(ctx)
+            pq_touches = decision.collect_work
+            frontier = pq.extract(decision.theta)
+            mode = pq.last_extract_mode
+            extract_scanned = pq.last_extract_scanned
+            if frontier.size == 0:
+                # A policy whose θ comes from the queue minimum can never extract
+                # empty; reaching here means the policy failed to advance.
+                raise RuntimeError(
+                    f"{policy.name}: empty extract at theta={decision.theta} with |Q|={len(pq)}"
+                )
+
+            rec = StepRecord(
+                index=ctx.step_index,
+                theta=float(decision.theta),
+                mode=mode,
+                extract_scanned=extract_scanned,
+                sample_work=decision.sample_work,
             )
-        decision = policy.decide(ctx)
-        pq_touches = decision.collect_work
-        frontier = pq.extract(decision.theta)
-        mode = pq.last_extract_mode
-        extract_scanned = pq.last_extract_scanned
-        if frontier.size == 0:
-            # A policy whose θ comes from the queue minimum can never extract
-            # empty; reaching here means the policy failed to advance.
-            raise RuntimeError(
-                f"{policy.name}: empty extract at theta={decision.theta} with |Q|={len(pq)}"
-            )
+            if decision.substep and stats.steps:
+                rec.index = stats.steps[-1].index  # substeps share the step index
 
-        rec = StepRecord(
-            index=ctx.step_index,
-            theta=float(decision.theta),
-            mode=mode,
-            extract_scanned=extract_scanned,
-            sample_work=decision.sample_work,
-        )
-        if decision.substep and stats.steps:
-            rec.index = stats.steps[-1].index  # substeps share the step index
+            wave = frontier
+            processed = 0
+            while wave.size:
+                if visits is not None:
+                    np.add.at(visits, wave, 1)
+                updated, edges, successes, max_task, bidir = _relax_wave(
+                    graph, dist, wave, bidirectional=bidirectional, workspace=workspace
+                )
+                pq.update(updated)
+                pq_touches += pq.last_update_touches
+                rec.frontier += len(wave)
+                rec.edges += edges
+                rec.relax_success += successes
+                rec.max_task = max(rec.max_task, max_task)
+                processed += len(wave)
 
-        wave = frontier
-        processed = 0
-        while wave.size:
-            if visits is not None:
-                np.add.at(visits, wave, 1)
-            updated, edges, successes, max_task, bidir = _relax_wave(
-                graph, dist, wave, bidirectional=bidirectional, workspace=workspace
-            )
-            pq.update(updated)
-            pq_touches += pq.last_update_touches
-            rec.frontier += len(wave)
-            rec.edges += edges
-            rec.relax_success += successes
-            rec.max_task = max(rec.max_task, max_task)
-            processed += len(wave)
-
-            # "Larger neighbor sets" fusion: keep expanding locally while the
-            # step is tiny and the budget allows (Sec. 6).  Expansion stays
-            # inside the current threshold window — beyond it the tentative
-            # distances are too immature and relaxing them is pure redundancy
-            # (with θ = ∞, i.e. Bellman-Ford, the local BFS is unrestricted).
-            if not (
-                options.fusion
-                and len(frontier) < options.fusion_frontier_max
-                and processed < options.fusion_limit
-                and updated.size
-            ):
-                break
-            if np.isfinite(decision.theta):
-                updated = updated[dist[updated] <= decision.theta]
-                if updated.size == 0:
+                # "Larger neighbor sets" fusion: keep expanding locally while the
+                # step is tiny and the budget allows (Sec. 6).  Expansion stays
+                # inside the current threshold window — beyond it the tentative
+                # distances are too immature and relaxing them is pure redundancy
+                # (with θ = ∞, i.e. Bellman-Ford, the local BFS is unrestricted).
+                if not (
+                    options.fusion
+                    and len(frontier) < options.fusion_frontier_max
+                    and processed < options.fusion_limit
+                    and updated.size
+                ):
                     break
-            pq.remove(updated)
-            wave = updated
-            rec.waves += 1
+                if np.isfinite(decision.theta):
+                    updated = updated[dist[updated] <= decision.theta]
+                    if updated.size == 0:
+                        break
+                pq.remove(updated)
+                wave = updated
+                rec.waves += 1
 
-        rec.pq_touches = pq_touches
-        stats.add(rec)
-        if obs.enabled:
-            if obs.registry.enabled:
-                _step_counters(obs.registry, rec)
-            if step_span is not None:
-                step_span.set(**_step_attrs(rec, len(frontier), bool(decision.substep)))
-                tracer.end(step_span)
-        ctx.step_index += 1
+            rec.pq_touches = pq_touches
+            stats.add(rec)
+            if obs.enabled:
+                if obs.registry.enabled:
+                    _step_counters(obs.registry, rec)
+                if step_span is not None:
+                    step_span.set(**_step_attrs(rec, len(frontier), bool(decision.substep)))
+                    tracer.end(step_span)
+            ctx.step_index += 1
 
-    if run_span is not None:
-        run_span.set(steps=stats.num_steps, waves=stats.num_waves,
-                     edges=stats.total_edge_visits)
-        tracer.end(run_span)
+        if run_span is not None:
+            run_span.set(steps=stats.num_steps, waves=stats.num_waves,
+                         edges=stats.total_edge_visits)
+    finally:
+        # A raise must not leave the run open on the tracer stack.
+        if run_span is not None:
+            tracer.end(run_span)
     stats.vertex_visits = visits
     return SSSPResult(
         dist=dist,

@@ -182,7 +182,6 @@ async def measure_capacity(
     seconds: float = 1.0,
     concurrency: int = 64,
     max_batch: int = 32,
-    max_delay: float = 0.002,
     seed: int = 99,
 ) -> float:
     """Closed-loop burst capacity (qps) for this source distribution.
@@ -196,8 +195,7 @@ async def measure_capacity(
     """
     engine = QueryEngine(graph, algo, param, retries=0, cache_size=1)
     server = ShortestPathServer(
-        engine, max_batch=max_batch, max_delay=max_delay,
-        max_queue=max(256, 4 * concurrency),
+        engine, max_batch=max_batch, max_queue=max(256, 4 * concurrency),
     )
     rng = spawn_generators(seed, 1)[0]
     done = 0

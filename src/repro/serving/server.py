@@ -4,9 +4,9 @@ The paper's stepping framework wins by amortising per-step coordination
 across a whole frontier; :class:`ShortestPathServer` applies the same idea
 to *request formation*.  Many concurrent clients each submit one
 single-source query; the server coalesces them into lockstep batches —
-flushing when **B** requests have gathered or **T** milliseconds have
-passed, whichever comes first (the GAPBS "vote on the next bucket" barrier,
-applied to arrivals) — and runs each batch through the existing
+flushing as soon as the worker is free, at most **B** requests at a time
+(like a stepping round, it takes whatever is ready and never waits at a
+barrier for more) — and runs each batch through the existing
 :class:`~repro.serving.engine.QueryEngine` (fast / pooled-shm / sharded
 paths) on a dedicated worker thread, so the event loop never blocks on
 kernel work.
@@ -102,11 +102,8 @@ class ShortestPathServer:
         ever driven from that thread, so its internal state needs no extra
         locking.
     max_batch:
-        Flush size **B** — a forming batch is dispatched as soon as it
-        holds this many live requests.
-    max_delay:
-        Flush age **T** in seconds — a forming batch is dispatched once its
-        oldest member has waited this long, full or not.
+        Batch cap **B** — each flush, made as soon as the worker is free,
+        takes at most this many live requests; the rest form the next one.
     max_queue:
         Bound on admitted-but-unflushed requests (the admission queue).
     default_deadline:
@@ -126,7 +123,6 @@ class ShortestPathServer:
         engine: QueryEngine,
         *,
         max_batch: int = 32,
-        max_delay: float = 0.002,
         max_queue: int = 256,
         default_deadline: "float | None" = None,
         admission: "AdmissionController | None" = None,
@@ -134,8 +130,6 @@ class ShortestPathServer:
     ) -> None:
         if max_batch < 1:
             raise ParameterError(f"max_batch must be >= 1, got {max_batch}")
-        if max_delay <= 0:
-            raise ParameterError(f"max_delay must be positive, got {max_delay}")
         if max_queue < 1:
             raise ParameterError(f"max_queue must be >= 1, got {max_queue}")
         if default_deadline is not None and default_deadline <= 0:
@@ -146,7 +140,6 @@ class ShortestPathServer:
             raise ParameterError(f"server_retries must be >= 0, got {server_retries}")
         self.engine = engine
         self.max_batch = int(max_batch)
-        self.max_delay = float(max_delay)
         self.max_queue = int(max_queue)
         self.default_deadline = default_deadline
         self.server_retries = int(server_retries)
@@ -218,7 +211,7 @@ class ShortestPathServer:
                     self._counters["failed"] += 1
         self._wake.set()  # in case the drain loop consumed the first wake
         try:
-            await self._flusher  # exits on _closing; cancel is not reliable
+            await self._flusher  # exits on _closing, never mid-flush
         except asyncio.CancelledError:  # pragma: no cover - external cancel
             pass
         self._executor.shutdown(wait=True)
@@ -289,9 +282,9 @@ class ShortestPathServer:
         future = self._loop.create_future()
         self._pending.append(_Pending(source, deadline_at, future, now))
         self._note_depth()
-        # Wake the flusher on the FIRST enqueue (it arms the T-ms timer off
-        # the oldest member) and again whenever the batch fills to B.
-        if len(self._pending) == 1 or len(self._pending) >= self.max_batch:
+        # Only an empty queue parks the flusher, so the first enqueue is the
+        # one wake it needs; later arrivals ride the next free-worker flush.
+        if len(self._pending) == 1:
             self._wake.set()
         return await future
 
@@ -302,7 +295,7 @@ class ShortestPathServer:
 
         When the engine's label tables are hot (``mode="p2p"``, build
         healthy), the lookup **bypasses batch formation entirely** — no
-        queue slot, no B/T coalescing wait — and runs on the worker thread
+        queue slot, no batch to wait for — and runs on the worker thread
         (the engine's single-driver contract) in microseconds.  When the
         tables are cold or degraded, the request routes through the normal
         admission-controlled :meth:`submit` path and the answer is read
@@ -337,39 +330,24 @@ class ShortestPathServer:
     # batch formation + flushing
 
     async def _flush_loop(self) -> None:
-        """Flush at B requests or T seconds, whichever comes first.
+        """Flush whenever the queue is non-empty and the worker is free.
+
+        A batch is whatever queued while the previous flush ran, capped at
+        B, so an idle server adds no wait and a busy one still batches.
+        With one worker a timer could only add delay.
 
         Shutdown is cooperative — ``stop()`` sets ``_closing`` and the wake
-        event and this loop exits on its own.  Relying on ``Task.cancel``
-        alone is unsafe on Python <= 3.11: ``asyncio.wait_for`` can swallow
-        a cancellation that races with the inner wait completing, leaving a
-        cancelled-but-running flusher parked forever.
+        event and this loop exits on its own, never mid-flush.
         """
         while not self._closing:
-            while not self._pending and not self._closing:
+            if not self._pending:
                 self._wake.clear()
                 await self._wake.wait()
-            if self._closing:
-                return
-            oldest = self._pending[0].enqueued_at
-            while (
-                len(self._pending) < self.max_batch
-                and self._pending
-                and not self._closing
-            ):
-                budget = oldest + self.max_delay - time.monotonic()
-                if budget <= 0:
-                    break
-                self._wake.clear()
-                try:
-                    await asyncio.wait_for(self._wake.wait(), timeout=budget)
-                except asyncio.TimeoutError:
-                    break
-            if self._pending:
-                try:
-                    await self._flush_once()
-                except Exception:  # pragma: no cover - defensive: never die
-                    _LOG.exception("flush failed unexpectedly; flusher continues")
+                continue
+            try:
+                await self._flush_once()
+            except Exception:  # pragma: no cover - defensive: never die
+                _LOG.exception("flush failed unexpectedly; flusher continues")
 
     def _take_batch(self) -> "list[_Pending]":
         """Pop up to B live requests; drop expired and cancelled ones.

@@ -338,161 +338,166 @@ def sharded_sssp(
         )
         if trace_on else None
     )
-    if OBS.enabled and OBS.registry.enabled:
-        OBS.registry.set_gauge("shard.partition.cut_edges", float(part.cut_edges))
-        OBS.registry.set_gauge("shard.partition.edge_imbalance", part.edge_imbalance)
+    try:
+        if OBS.enabled and OBS.registry.enabled:
+            OBS.registry.set_gauge("shard.partition.cut_edges", float(part.cut_edges))
+            OBS.registry.set_gauge("shard.partition.edge_imbalance", part.edge_imbalance)
 
-    rng = as_generator(seed)
-    states = [_ShardState(s, options, rng) for s in part.shards]
-    owner = int(part.assign[source])
-    src_local = int(states[owner].shard.to_local(np.array([source], dtype=_INT))[0])
-    states[owner].dist[src_local] = 0.0
-    states[owner].pq.update(np.array([src_local], dtype=_INT))
+        rng = as_generator(seed)
+        states = [_ShardState(s, options, rng) for s in part.shards]
+        owner = int(part.assign[source])
+        src_local = int(states[owner].shard.to_local(np.array([source], dtype=_INT))[0])
+        states[owner].dist[src_local] = 0.0
+        states[owner].pq.update(np.array([src_local], dtype=_INT))
 
-    global_pq = _GlobalPQ(states)
-    ctx = _ShardedCtx(graph, states, global_pq, rng, options.dense_frac)
-    policy.reset(ctx)
+        global_pq = _GlobalPQ(states)
+        ctx = _ShardedCtx(graph, states, global_pq, rng, options.dense_frac)
+        policy.reset(ctx)
 
-    def extract_all(theta):
-        """Every shard's in-window frontier (empty queues skipped outright)."""
-        frontiers = []
-        total = scanned = 0
-        for st in states:
-            if len(st.pq):
-                f = st.pq.extract(theta)
-                scanned += st.pq.last_extract_scanned
-            else:
-                f = _EMPTY_IDS
-            frontiers.append(f)
-            total += f.size
-        return frontiers, total, scanned
+        def extract_all(theta):
+            """Every shard's in-window frontier (empty queues skipped outright)."""
+            frontiers = []
+            total = scanned = 0
+            for st in states:
+                if len(st.pq):
+                    f = st.pq.extract(theta)
+                    scanned += st.pq.last_extract_scanned
+                else:
+                    f = _EMPTY_IDS
+                frontiers.append(f)
+                total += f.size
+            return frontiers, total, scanned
 
-    fuse = options.fusion
-    stats = RunStats()
-    halo_messages = 0
-    halo_raw_total = 0
-    fusion_rounds_total = 0
-    t0 = time.perf_counter()
-    guard = 0
-    while len(global_pq) > 0:
-        if deadline_at is not None and time.monotonic() > deadline_at:
-            raise DeadlineExceeded(
-                f"sharded run missed its deadline after "
-                f"{stats.num_steps} supersteps (|Q|={len(global_pq)})"
-            )
-        step_span = tracer.begin("shard.superstep") if trace_on else None
-        guard += 1
-        if options.max_steps and guard > options.max_steps:
-            raise RuntimeError(
-                f"{policy.name}: exceeded max_steps={options.max_steps} "
-                "supersteps; likely a policy that fails to advance θ"
-            )
-        decision = policy.decide(ctx)
-        theta = decision.theta
-        frontiers, extracted, scanned = extract_all(theta)
-        if extracted == 0:
-            # θ from any supported policy is >= the global minimum key
-            # and extraction uses <=, so *some* shard must extract.
-            raise RuntimeError(
-                f"{policy.name}: empty superstep at theta={theta} with "
-                f"|Q|={len(global_pq)}"
-            )
-        rec = StepRecord(
-            index=ctx.step_index,
-            theta=float(theta),
-            mode="bsp",
-            extract_scanned=scanned,
-            sample_work=decision.sample_work,
-        )
-        if decision.substep and stats.steps:
-            rec.index = stats.steps[-1].index  # substeps share the index
-
-        # Fusion pays off only when this window would otherwise recur:
-        # θ = ∞ (ρ's tail, Bellman-Ford — the whole residual problem is
-        # one window) or a substep decision (Δ re-draining the same θ).
-        # A finite, advancing θ (Δ*, Dijkstra) covers in-window halo
-        # leftovers in the *next* superstep anyway, so fusing there only
-        # adds extract/exchange rounds without saving a policy decision.
-        fuse_now = fuse and (decision.substep or not np.isfinite(theta))
-        shard_edges = np.zeros(part.num_shards, dtype=_INT)
-        windows_run = 0
-        fusion_rounds = 0
-        raw_step = packed_step = 0
-        while True:
-            rec.frontier += extracted
-            for i, st in enumerate(states):
-                if not frontiers[i].size:
-                    continue
-                windows_run += 1
-                owned_t, halo_t, edges, succ, waves, max_task = _local_window(
-                    st.shard.local, st.shard.n_owned, st.dist,
-                    frontiers[i], theta, st.ws,
+        fuse = options.fusion
+        stats = RunStats()
+        halo_messages = 0
+        halo_raw_total = 0
+        fusion_rounds_total = 0
+        t0 = time.perf_counter()
+        guard = 0
+        while len(global_pq) > 0:
+            if deadline_at is not None and time.monotonic() > deadline_at:
+                raise DeadlineExceeded(
+                    f"sharded run missed its deadline after "
+                    f"{stats.num_steps} supersteps (|Q|={len(global_pq)})"
                 )
-                _apply_window(st, owned_t, halo_t, theta)
-                shard_edges[i] += edges
-                rec.edges += edges
-                rec.relax_success += succ
-                rec.waves = max(rec.waves, waves)
-                rec.max_task = max(rec.max_task, max_task)
-            raw, packed = _exchange_halos(states, n)
-            raw_step += raw
-            packed_step += packed
-            if not fuse_now:
-                break
-            # Fusion: halo arrivals at or below θ belong to this window —
-            # drain them now at the same θ instead of paying another
-            # policy decision (and another full superstep) for them.
+            step_span = tracer.begin("shard.superstep") if trace_on else None
+            guard += 1
+            if options.max_steps and guard > options.max_steps:
+                raise RuntimeError(
+                    f"{policy.name}: exceeded max_steps={options.max_steps} "
+                    "supersteps; likely a policy that fails to advance θ"
+                )
+            decision = policy.decide(ctx)
+            theta = decision.theta
             frontiers, extracted, scanned = extract_all(theta)
             if extracted == 0:
-                break
-            fusion_rounds += 1
-            rec.extract_scanned += scanned
-
-        halo_messages += packed_step
-        halo_raw_total += raw_step
-        fusion_rounds_total += fusion_rounds
-        stats.add(rec)
-        if OBS.enabled:
-            if OBS.registry.enabled:
-                reg = OBS.registry
-                reg.inc("shard.supersteps")
-                reg.inc("shard.frontier", rec.frontier)
-                reg.inc("shard.edges", rec.edges)
-                reg.inc("shard.halo.messages", packed_step)
-                reg.inc("shard.halo_coalesced", raw_step - packed_step)
-                reg.inc("shard.fusion_rounds", fusion_rounds)
-                reg.inc("shard.active_shards", windows_run)
-                work = shard_edges[shard_edges > 0]
-                if work.size:
-                    reg.set_gauge(
-                        "shard.superstep.imbalance",
-                        float(work.max() / work.mean()),
-                    )
-            if step_span is not None:
-                step_span.set(
-                    index=rec.index, theta=rec.theta, frontier=rec.frontier,
-                    edges=rec.edges, active_shards=windows_run,
-                    halo_messages=packed_step, halo_raw=raw_step,
-                    halo_coalesced=raw_step - packed_step,
-                    fusion_rounds=fusion_rounds, waves=rec.waves,
-                    shard_edges=[int(v) for v in shard_edges],
+                # θ from any supported policy is >= the global minimum key
+                # and extraction uses <=, so *some* shard must extract.
+                raise RuntimeError(
+                    f"{policy.name}: empty superstep at theta={theta} with "
+                    f"|Q|={len(global_pq)}"
                 )
-                tracer.end(step_span)
-        ctx.step_index += 1
+            rec = StepRecord(
+                index=ctx.step_index,
+                theta=float(theta),
+                mode="bsp",
+                extract_scanned=scanned,
+                sample_work=decision.sample_work,
+            )
+            if decision.substep and stats.steps:
+                rec.index = stats.steps[-1].index  # substeps share the index
 
-    dist = np.full(n, np.inf)
-    for st in states:
-        if st.shard.n_owned:
-            dist[st.shard.owned] = st.dist[: st.shard.n_owned]
+            # Fusion pays off only when this window would otherwise recur:
+            # θ = ∞ (ρ's tail, Bellman-Ford — the whole residual problem is
+            # one window) or a substep decision (Δ re-draining the same θ).
+            # A finite, advancing θ (Δ*, Dijkstra) covers in-window halo
+            # leftovers in the *next* superstep anyway, so fusing there only
+            # adds extract/exchange rounds without saving a policy decision.
+            fuse_now = fuse and (decision.substep or not np.isfinite(theta))
+            shard_edges = np.zeros(part.num_shards, dtype=_INT)
+            windows_run = 0
+            fusion_rounds = 0
+            raw_step = packed_step = 0
+            while True:
+                rec.frontier += extracted
+                for i, st in enumerate(states):
+                    if not frontiers[i].size:
+                        continue
+                    windows_run += 1
+                    owned_t, halo_t, edges, succ, waves, max_task = _local_window(
+                        st.shard.local, st.shard.n_owned, st.dist,
+                        frontiers[i], theta, st.ws,
+                    )
+                    _apply_window(st, owned_t, halo_t, theta)
+                    shard_edges[i] += edges
+                    rec.edges += edges
+                    rec.relax_success += succ
+                    rec.waves = max(rec.waves, waves)
+                    rec.max_task = max(rec.max_task, max_task)
+                raw, packed = _exchange_halos(states, n)
+                raw_step += raw
+                packed_step += packed
+                if not fuse_now:
+                    break
+                # Fusion: halo arrivals at or below θ belong to this window —
+                # drain them now at the same θ instead of paying another
+                # policy decision (and another full superstep) for them.
+                frontiers, extracted, scanned = extract_all(theta)
+                if extracted == 0:
+                    break
+                fusion_rounds += 1
+                rec.extract_scanned += scanned
 
-    if run_span is not None:
-        run_span.set(
-            supersteps=stats.num_steps, edges=stats.total_edge_visits,
-            halo_messages=halo_messages,
-            halo_coalesced=halo_raw_total - halo_messages,
-            fusion_rounds=fusion_rounds_total,
-        )
-        tracer.end(run_span)
+            halo_messages += packed_step
+            halo_raw_total += raw_step
+            fusion_rounds_total += fusion_rounds
+            stats.add(rec)
+            if OBS.enabled:
+                if OBS.registry.enabled:
+                    reg = OBS.registry
+                    reg.inc("shard.supersteps")
+                    reg.inc("shard.frontier", rec.frontier)
+                    reg.inc("shard.edges", rec.edges)
+                    reg.inc("shard.halo.messages", packed_step)
+                    reg.inc("shard.halo_coalesced", raw_step - packed_step)
+                    reg.inc("shard.fusion_rounds", fusion_rounds)
+                    reg.inc("shard.active_shards", windows_run)
+                    work = shard_edges[shard_edges > 0]
+                    if work.size:
+                        reg.set_gauge(
+                            "shard.superstep.imbalance",
+                            float(work.max() / work.mean()),
+                        )
+                if step_span is not None:
+                    step_span.set(
+                        index=rec.index, theta=rec.theta, frontier=rec.frontier,
+                        edges=rec.edges, active_shards=windows_run,
+                        halo_messages=packed_step, halo_raw=raw_step,
+                        halo_coalesced=raw_step - packed_step,
+                        fusion_rounds=fusion_rounds, waves=rec.waves,
+                        shard_edges=[int(v) for v in shard_edges],
+                    )
+                    tracer.end(step_span)
+            ctx.step_index += 1
+
+        dist = np.full(n, np.inf)
+        for st in states:
+            if st.shard.n_owned:
+                dist[st.shard.owned] = st.dist[: st.shard.n_owned]
+
+        if run_span is not None:
+            run_span.set(
+                supersteps=stats.num_steps, edges=stats.total_edge_visits,
+                halo_messages=halo_messages,
+                halo_coalesced=halo_raw_total - halo_messages,
+                fusion_rounds=fusion_rounds_total,
+            )
+    finally:
+        # A deadline or max_steps raise must not leave the run (and any open
+        # superstep) on the tracer stack, or the next run nests under it.
+        if run_span is not None:
+            tracer.end(run_span)
     return SSSPResult(
         dist=dist,
         source=source,

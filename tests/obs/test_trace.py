@@ -1,9 +1,12 @@
 """Tracer, span-tree rendering, exporters, and the OBS seam itself."""
 
 import json
+import time
 
 import pytest
 
+from repro.core import SteppingOptions, stepping_sssp
+from repro.core.policies import BellmanFordPolicy, DijkstraPolicy
 from repro.obs import (
     NULL_REGISTRY,
     NULL_TRACER,
@@ -20,6 +23,8 @@ from repro.obs import (
     to_prometheus,
     write_metrics,
 )
+from repro.shard import sharded_sssp
+from repro.utils.errors import DeadlineExceeded
 
 
 class FakeClock:
@@ -217,3 +222,35 @@ class TestObsSeam:
         assert snap["histograms"]["kernel.scatter_min.seconds"]["count"] == 1
         (span,) = tracer.roots
         assert span.name == "kernel.scatter_min" and span.attrs["size"] == 42
+
+
+class TestRunSpansCloseOnRaise:
+    """A run that raises closes its span, so the next run is a new root."""
+
+    @staticmethod
+    def _assert_two_closed_roots(tracer, name):
+        assert [s.name for s in tracer.roots] == [name, name]
+        assert all(s.t1 is not None for root in tracer.roots for s in root.walk())
+
+    @pytest.mark.parametrize("raise_path", ["deadline", "max_steps"])
+    def test_sharded_run(self, rmat_small, raise_path):
+        if raise_path == "deadline":  # cancelled before its first superstep
+            kw, exc = {"deadline_at": time.monotonic() - 1.0}, DeadlineExceeded
+        else:  # raised inside superstep 2, with that superstep's span open
+            kw, exc = {"options": SteppingOptions(max_steps=1)}, RuntimeError
+        tracer = Tracer()
+        with observed(tracer=tracer):
+            with pytest.raises(exc):
+                sharded_sssp(rmat_small, 0, DijkstraPolicy(), num_shards=2,
+                             seed=7, **kw)
+            sharded_sssp(rmat_small, 0, BellmanFordPolicy(), num_shards=2, seed=7)
+        self._assert_two_closed_roots(tracer, "shard.run")
+
+    def test_stepping_run(self, rmat_small):
+        tracer = Tracer()
+        with observed(tracer=tracer):
+            with pytest.raises(RuntimeError, match="max_steps"):
+                stepping_sssp(rmat_small, 0, DijkstraPolicy(),
+                              options=SteppingOptions(max_steps=1), seed=7)
+            stepping_sssp(rmat_small, 0, BellmanFordPolicy(), seed=7)
+        self._assert_two_closed_roots(tracer, "sssp.run")

@@ -27,6 +27,7 @@ from repro.utils.errors import (
     ExecutionError,
     OverloadError,
     ParameterError,
+    ReproError,
 )
 
 
@@ -53,18 +54,20 @@ class TestBatching:
 
     def test_concurrent_submits_coalesce_into_one_flush(self, engine):
         async def main():
-            async with ShortestPathServer(engine, max_batch=8, max_delay=0.05) as srv:
+            async with ShortestPathServer(engine, max_batch=8) as srv:
                 await asyncio.gather(*(srv.submit(s) for s in range(5)))
                 return srv.stats()
 
         st = run(main())
-        assert st["flushes"] == 1  # 5 < B: one T-triggered flush, not five
+        # All five enqueue before the flusher first runs; 5 < B, so the
+        # idle worker takes them as one flush, not five.
+        assert st["flushes"] == 1
         assert st["completed"] == 5
 
     def test_full_batch_flushes_before_timer(self, engine):
         async def main():
-            # T is far too long to matter: only the B=3 trigger can flush.
-            async with ShortestPathServer(engine, max_batch=3, max_delay=30.0) as srv:
+            # A full batch on an idle worker goes out at once.
+            async with ShortestPathServer(engine, max_batch=3) as srv:
                 t0 = time.monotonic()
                 await asyncio.gather(*(srv.submit(s) for s in (0, 1, 2)))
                 return time.monotonic() - t0
@@ -77,24 +80,146 @@ class TestBatching:
             run(srv.submit(0))
 
     def test_stop_without_drain_fails_queued_typed(self, engine):
-        async def main():
-            srv = ShortestPathServer(engine, max_batch=64, max_delay=30.0)
-            await srv.start()
-            task = asyncio.ensure_future(srv.submit(0))
-            await asyncio.sleep(0.01)
-            await srv.stop(drain=False)
-            with pytest.raises(ExecutionError):
-                await task
+        plan = FaultPlan.single("server.flush", "hang", at=(0,), delay=0.3)
+        install_injector(plan)
+        try:
+            async def main():
+                srv = ShortestPathServer(engine, max_batch=64)
+                await srv.start()
+                # The blocker's flush hangs on the worker thread, so the
+                # next request stays queued behind it.
+                blocker = asyncio.ensure_future(srv.submit(1))
+                await asyncio.sleep(0.05)
+                task = asyncio.ensure_future(srv.submit(0))
+                await asyncio.sleep(0.01)
+                assert srv.queue_depth == 1
+                await srv.stop(drain=False)
+                with pytest.raises(ExecutionError):
+                    await task
+                await blocker
 
-        run(main())
+            run(main())
+        finally:
+            install_injector(None)
 
     def test_validation(self, engine):
         for kw in (
-            {"max_batch": 0}, {"max_delay": 0.0}, {"max_queue": 0},
+            {"max_batch": 0}, {"max_queue": 0},
             {"default_deadline": 0.0}, {"server_retries": -1},
         ):
             with pytest.raises(ParameterError):
                 ShortestPathServer(engine, **kw)
+
+
+def _record_batches(engine):
+    """Record the size of every batch the engine is handed."""
+    sizes = []
+    real = engine.query_batch
+
+    def query_batch(sources, **kw):
+        sizes.append(len(sources))
+        return real(sources, **kw)
+
+    engine.query_batch = query_batch
+    return sizes
+
+
+class TestIdleFlush:
+    """A flush goes out as soon as the worker is free, with at most B."""
+
+    @pytest.mark.parametrize(
+        "k, max_batch, expected",
+        [(5, 8, [1, 5]), (7, 3, [1, 3, 3, 1])],
+        ids=["k<=B", "k>B"],
+    )
+    def test_requests_queued_during_a_flush_form_the_next_batches(
+        self, engine, k, max_batch, expected
+    ):
+        sizes = _record_batches(engine)
+        install_injector(FaultPlan.single("server.flush", "hang", at=(0,), delay=0.5))
+        try:
+            async def main():
+                async with ShortestPathServer(engine, max_batch=max_batch) as srv:
+                    blocker = asyncio.ensure_future(srv.submit(0))
+                    await asyncio.sleep(0.05)  # flush 0 now hangs on the worker
+                    rest = [asyncio.ensure_future(srv.submit(s)) for s in range(1, k + 1)]
+                    await asyncio.sleep(0)  # all k enqueue behind the hung flush
+                    assert srv.queue_depth == k
+                    await asyncio.gather(blocker, *rest)
+                    return srv.stats()
+
+            st = run(main())
+        finally:
+            install_injector(None)
+        # ceil(k / B) flushes after the blocker's, each of at most B.
+        assert sizes == expected
+        assert st["flushes"] == len(expected) and st["completed"] == k + 1
+
+    def test_idle_server_flushes_each_request_without_waiting(self, engine):
+        sizes = _record_batches(engine)
+
+        async def main():
+            async with ShortestPathServer(engine, max_batch=8) as srv:
+                for s in (1, 2):
+                    task = asyncio.ensure_future(srv.submit(s))
+                    # No timer: the flusher takes the request within a few
+                    # loop turns of its arrival, not after a delay.
+                    for _ in range(3):
+                        await asyncio.sleep(0)
+                    assert srv.queue_depth == 0
+                    await task
+                return srv.stats()
+
+        st = run(main())
+        assert sizes == [1, 1]  # nothing waited for company
+        assert st["flushes"] == 2
+
+
+class TestOverload:
+    def test_burst_beyond_queue_sheds_and_admitted_meet_deadline(self, engine):
+        deadline = 2.0
+        max_queue = 8
+        install_injector(FaultPlan.single("server.flush", "hang", delay=0.05))
+        try:
+            async def main():
+                srv = ShortestPathServer(engine, max_batch=4, max_queue=max_queue)
+                depths = []
+                note = srv._note_depth
+
+                def note_depth():  # sees every enqueue and every batch take
+                    depths.append(srv.queue_depth)
+                    note()
+
+                srv._note_depth = note_depth
+
+                async def one(s):
+                    t0 = time.monotonic()
+                    try:
+                        await srv.submit(s, deadline=deadline)
+                    except OverloadError:
+                        return "shed"
+                    except ReproError as exc:
+                        return exc
+                    return time.monotonic() - t0
+
+                async with srv:
+                    outcomes = []
+                    for wave in range(4):  # each wave overruns the queue bound
+                        burst = [asyncio.ensure_future(one(s % 16)) for s in range(20)]
+                        await asyncio.sleep(0.03)
+                        outcomes += burst
+                    outcomes = await asyncio.gather(*outcomes)
+                    return outcomes, depths, srv.stats()
+
+            outcomes, depths, st = run(main())
+        finally:
+            install_injector(None)
+        assert st["admission"]["shed_total"] > 0
+        assert max(depths) == max_queue  # filled to the bound, never beyond
+        admitted = [o for o in outcomes if not isinstance(o, str)]
+        assert admitted and len(admitted) + st["admission"]["shed_total"] == 80
+        for o in admitted:  # finished inside the deadline, or failed typed
+            assert isinstance(o, ReproError) or o <= deadline
 
 
 class TestAdmissionIntegration:
@@ -164,7 +289,7 @@ class TestAdmissionIntegration:
 
     def test_cancelled_request_never_computed(self, engine):
         async def main():
-            srv = ShortestPathServer(engine, max_batch=8, max_delay=0.05)
+            srv = ShortestPathServer(engine, max_batch=8)
             async with srv:
                 task = asyncio.ensure_future(srv.submit(5))
                 await asyncio.sleep(0)  # let it enqueue, not flush
