@@ -21,7 +21,10 @@ is compared bit-for-bit with the scalar reference for its source
 (``mismatches`` must be 0) — a front door that changes answers is not a
 front door.
 
-Results land in ``BENCH_serving.json``.  Usage::
+Every gate of every (graph, profile) row is evaluated; the misses are
+reported together on stderr and the run exits 1 without writing the
+report, so one failing gate never hides another.  Results land in
+``BENCH_serving.json``.  Usage::
 
     PYTHONPATH=src python benchmarks/bench_serving.py            # full run
     PYTHONPATH=src python benchmarks/bench_serving.py --smoke    # CI-sized
@@ -91,9 +94,42 @@ def profiles(smoke: bool) -> "list[tuple[LoadProfile, dict, dict]]":
     ]
 
 
-def bench_graph(gname: str, smoke: bool) -> "list[dict]":
+def gate_failures(gname: str, prof: LoadProfile, rep: dict, server_kwargs: dict) -> "list[str]":
+    """Every gate one (graph, profile) row misses, as messages."""
+    failed = []
+    if rep["mismatches"] != 0:
+        failed.append(
+            f"{gname}/{prof.name}: {rep['mismatches']} responses disagreed "
+            f"with the scalar reference"
+        )
+    if prof.name == "steady":
+        if not rep["speedup_vs_scalar"] >= 4.0:
+            failed.append(
+                f"{gname}/steady: {rep['speedup_vs_scalar']:.1f}x vs the "
+                f"scalar loop, need >= 4x"
+            )
+        if rep["shed"] != 0:
+            failed.append(f"{gname}/steady shed {rep['shed']} requests")
+        return failed
+    if not rep["shed"] > 0:
+        failed.append(f"{gname}/overload shed nothing at 2x capacity")
+    p95 = rep["latency_ms"]["p95"]
+    if not (rep["completed"] > 0 and p95 is not None):
+        failed.append(f"{gname}/overload admitted nothing")
+    elif not p95 <= rep["deadline_ms"]:
+        failed.append(
+            f"{gname}/overload p95 of admitted requests {p95:.1f} ms "
+            f"blew the {rep['deadline_ms']:.0f} ms deadline"
+        )
+    if not rep["queue_peak"] <= server_kwargs["max_queue"]:
+        failed.append(f"{gname}/overload queue grew past the bound")
+    return failed
+
+
+def bench_graph(gname: str, smoke: bool) -> "tuple[list[dict], list[str]]":
+    """Rows of every profile on one graph, and the gates they missed."""
     graph = load_dataset(gname)
-    rows = []
+    rows, failed = [], []
     for prof, engine_kwargs, server_kwargs in profiles(smoke):
         pool = source_pool(graph, prof.num_sources)
         weights = zipf_weights(len(pool), prof.alpha)
@@ -106,29 +142,7 @@ def bench_graph(gname: str, smoke: bool) -> "list[dict]":
             engine_kwargs=engine_kwargs, server_kwargs=server_kwargs,
         ))
         rep["graph"] = gname
-        assert rep["mismatches"] == 0, (
-            f"{gname}/{prof.name}: {rep['mismatches']} responses disagreed "
-            f"with the scalar reference"
-        )
-        if prof.name == "steady":
-            assert rep["speedup_vs_scalar"] >= 4.0, (
-                f"{gname}/steady: {rep['speedup_vs_scalar']:.1f}x vs the "
-                f"scalar loop, need >= 4x"
-            )
-            assert rep["shed"] == 0, f"{gname}/steady shed {rep['shed']} requests"
-        else:
-            assert rep["shed"] > 0, f"{gname}/overload shed nothing at 2x capacity"
-            p95 = rep["latency_ms"]["p95"]
-            assert rep["completed"] > 0 and p95 is not None, (
-                f"{gname}/overload admitted nothing"
-            )
-            assert p95 <= rep["deadline_ms"], (
-                f"{gname}/overload p95 of admitted requests {p95:.1f} ms "
-                f"blew the {rep['deadline_ms']:.0f} ms deadline"
-            )
-            assert rep["queue_peak"] <= server_kwargs["max_queue"], (
-                f"{gname}/overload queue grew past the bound"
-            )
+        failed += gate_failures(gname, prof, rep, server_kwargs)
         rows.append(rep)
         lat = rep["latency_ms"]
         print(
@@ -141,7 +155,7 @@ def bench_graph(gname: str, smoke: bool) -> "list[dict]":
             f"mism={rep['mismatches']}"
         )
         sys.stdout.flush()
-    return rows
+    return rows, failed
 
 
 def main() -> int:
@@ -151,13 +165,22 @@ def main() -> int:
     args = ap.parse_args()
 
     graphs = GRAPHS[:1] if args.smoke else GRAPHS
-    all_rows = []
+    all_rows, failed = [], []
     for gname in graphs:
         print(f"{gname}:")
-        all_rows.extend(bench_graph(gname, args.smoke))
+        rows, missed = bench_graph(gname, args.smoke)
+        all_rows.extend(rows)
+        failed.extend(missed)
 
     leaked = leaked_segments()
-    assert not leaked, f"leaked shared-memory segments at exit: {leaked}"
+    if leaked:
+        failed.append(f"leaked shared-memory segments at exit: {leaked}")
+    if failed:
+        # Every gate of every profile ran; report them all, write nothing.
+        print(f"FAILED {len(failed)} gate(s):", file=sys.stderr)
+        for msg in failed:
+            print(f"  {msg}", file=sys.stderr)
+        return 1
 
     report = {
         "bench": "serving",

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -173,8 +174,10 @@ class ResolvedUpdates:
 
     One row per distinct *directed* edge (already mirrored for undirected
     graphs, duplicates resolved last-wins, no-ops dropped), sorted by
-    ``(u, v)``.  ``old_w`` is ``NaN`` where the edge did not exist before;
-    ``new_w`` is ``NaN`` where it does not exist after.
+    ``(u, v)``.  ``old_w`` is the weight of the lightest stored copy of the
+    edge (the one distances see; ``apply_resolved`` replaces every copy),
+    ``NaN`` where the edge did not exist before; ``new_w`` is ``NaN`` where
+    it does not exist after.
     """
 
     u: np.ndarray
@@ -192,9 +195,22 @@ class ResolvedUpdates:
         """Rows that can only lower distances: inserts and reweights down."""
         return np.isfinite(self.new_w) & ~(self.new_w >= self.old_w)
 
-    @property
+    @cached_property
+    def old_edges(self) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+        """``(u, v, old_w)`` of the rows whose edge existed before (cached)."""
+        had = np.isfinite(self.old_w)
+        return self.u[had], self.v[had], self.old_w[had]
+
+    @cached_property
+    def new_edges(self) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+        """``(u, v, new_w)`` of the rows whose edge exists after (cached)."""
+        live = np.isfinite(self.new_w)
+        return self.u[live], self.v[live], self.new_w[live]
+
+    @cached_property
     def increases(self) -> np.ndarray:
-        """Rows that can raise distances: deletes and reweights up."""
+        """Rows that can raise distances: deletes and reweights up (cached:
+        every warm row repaired against this delta reads it)."""
         return np.isfinite(self.old_w) & ~(self.new_w <= self.old_w)
 
 
@@ -234,14 +250,18 @@ def resolve_updates(graph: Graph, batch: UpdateBatch) -> ResolvedUpdates:
         sel = perm[last]
         u, v, w, key = u[sel], v[sel], w[sel], key[sel]
         ek, ew = _edge_keys(graph)
-        if ek.size:
-            lo = np.minimum(np.searchsorted(ek, key), len(ek) - 1)
-            found = ek[lo] == key
-            old = np.where(found, ew[lo], np.nan)
-        else:
-            old = np.full(len(key), np.nan)
-        # No-ops: delete-of-missing (both NaN) or identical weight.
-        changed = ~((np.isnan(old) & np.isnan(w)) | (old == w))
+        lo = np.searchsorted(ek, key, side="left")
+        hi = np.searchsorted(ek, key, side="right")
+        # The lightest copy of each pair is the one distances see: one
+        # min-reduction over the slots [lo, hi) of every pair.
+        ew = np.append(ew, np.inf)
+        lightest = np.minimum.reduceat(ew, np.stack([lo, hi], axis=1).ravel())[::2]
+        found = hi > lo
+        old = np.where(found, lightest, np.nan)
+        # No-ops: delete-of-missing (both NaN) or the weight the first
+        # stored copy already has (the CSR stays as it is).
+        first = np.where(found, ew[lo], np.nan)
+        changed = ~((np.isnan(old) & np.isnan(w)) | (first == w))
         u, v, old, w = u[changed], v[changed], old[changed], w[changed]
     else:
         old = np.zeros(0, dtype=_WEIGHT_DTYPE)

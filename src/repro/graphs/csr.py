@@ -175,15 +175,44 @@ class Graph:
         h.update(np.ascontiguousarray(self.weights, dtype=_WEIGHT_DTYPE).tobytes())
         return h.hexdigest()
 
-    @property
+    @cached_property
     def max_weight(self) -> float:
-        """The paper's ``L`` — the heaviest edge weight (0.0 if no edges)."""
+        """The paper's ``L`` — the heaviest edge weight (0.0 if no edges;
+        cached, so every run on this object shares one scan)."""
         return float(self.weights.max()) if self.m else 0.0
 
-    @property
+    @cached_property
     def min_weight(self) -> float:
-        """The lightest edge weight (0.0 if no edges)."""
+        """The lightest edge weight (0.0 if no edges; cached)."""
         return float(self.weights.min()) if self.m else 0.0
+
+    @cached_property
+    def transposed(self) -> "Graph":
+        """The CSR of the reversed graph: row ``v`` lists the in-edges of
+        ``v`` (tails in ascending order, with their weights).  Cached; an
+        undirected graph shares its own arrays, since a symmetric CSR is
+        its own transpose (a new object all the same: caching ``self``
+        would make a reference cycle that keeps every superseded graph
+        alive until the cyclic collector runs).  Lets callers read the
+        in-edges of a few vertices without scanning all ``m`` edges."""
+        if not self.directed:
+            return self.with_name(self.name)
+        # A stable sort of the edges by head, as an LSD radix sort over
+        # 16-bit digits (NumPy's stable sort of uint16 keys is a counting
+        # sort): O(m) per digit, one digit per 65 536 vertices.
+        order = np.arange(self.m, dtype=_INDEX_DTYPE)
+        shift = 0
+        while shift == 0 or (self.n - 1) >> shift:
+            digit = ((self.indices[order] >> shift) & 0xFFFF).astype(np.uint16)
+            order = order[np.argsort(digit, kind="stable")]
+            shift += 16
+        indptr = np.zeros(self.n + 1, dtype=_INDEX_DTYPE)
+        np.cumsum(np.bincount(self.indices, minlength=self.n), out=indptr[1:])
+        return Graph(
+            indptr=indptr, indices=self.edge_sources[order],
+            weights=self.weights[order], directed=True,
+            name=f"{self.name}-rev" if self.name else "",
+        )
 
     def out_degree(self, v: int | np.ndarray | None = None) -> np.ndarray | int:
         """Out-degree of ``v``, or of all vertices when ``v is None``."""

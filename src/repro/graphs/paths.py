@@ -112,9 +112,15 @@ def spt_parents(
     du, dv = dist[edge_src], dist[edge_dst]
     # du < dv with dv finite already makes du finite; isfinite(dv) only
     # keeps an infinite-weight edge from looking tight into an unreachable v.
-    tight = (du < dv) & (du + weights == dv) & np.isfinite(dv)
+    tight = du + weights == dv
+    tight &= du < dv
+    tight &= np.isfinite(dv)
+    # Tight edges are few (about one per reachable vertex, more on ties):
+    # index them by position, which costs less than two boolean-mask
+    # gathers over all m edges.
+    e = np.flatnonzero(tight)
     parent = np.full(n, n, dtype=np.int64)  # sentinel n = no tight in-edge
-    np.minimum.at(parent, edge_dst[tight], edge_src[tight])
+    np.minimum.at(parent, edge_dst[e], edge_src[e])
     return np.where(parent < n, parent, np.arange(n, dtype=np.int64))
 
 

@@ -1,5 +1,7 @@
 """Unit tests for the CSR graph representation."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -90,6 +92,53 @@ class TestAccessors:
         g = _triangle()
         assert g.min_weight == 1.0
         assert g.max_weight == 3.0
+
+    def test_min_max_weight_cached_per_graph(self):
+        from repro.dynamic import UpdateBatch, apply_resolved, resolve_updates
+
+        g = _triangle()
+        assert g.max_weight == g.weights.max() and g.min_weight == g.weights.min()
+        assert {"max_weight", "min_weight"} <= set(vars(g))  # computed once
+        batch = UpdateBatch(reweights=[(0, 1, 0.25), (2, 0, 9.0)])
+        g2 = apply_resolved(g, resolve_updates(g, batch))
+        assert g2 is not g
+        assert (g2.min_weight, g2.max_weight) == (0.25, 9.0)
+        assert (g.min_weight, g.max_weight) == (1.0, 3.0)
+
+    @pytest.mark.parametrize("n", [5, 70_000])  # one and two 16-bit digits
+    def test_transposed_is_a_stable_sort_by_head(self, n):
+        rng = np.random.default_rng(n)
+        src, dst = rng.integers(0, n, 3 * n), rng.integers(0, n, 3 * n)
+        src[:3], dst[:3] = 0, n - 1  # parallel copies keep their order
+        g = Graph.from_edges(n, src, dst, rng.random(3 * n) + 0.5, dedup=False)
+        order = np.argsort(g.indices, kind="stable")
+        t = g.transposed
+        assert np.array_equal(t.indptr[1:], np.cumsum(np.bincount(g.indices, minlength=n)))
+        assert np.array_equal(t.indices, g.edge_sources[order])
+        assert np.array_equal(t.weights, g.weights[order])
+
+    def test_transposed_lists_in_edges(self):
+        g = Graph.from_edges(
+            4, np.array([0, 2, 1, 3, 0]), np.array([1, 1, 3, 1, 2]),
+            np.array([1.0, 2.0, 3.0, 4.0, 5.0]),
+        )
+        t = g.transposed
+        t.validate()
+        assert t is g.transposed  # cached
+        assert list(t.neighbors(1)) == [0, 2, 3]
+        assert list(t.neighbor_weights(1)) == [1.0, 2.0, 4.0]
+        assert list(t.neighbors(0)) == [] and list(t.neighbors(3)) == [1]
+        und = Graph.from_edges(
+            3, np.array([0, 1]), np.array([1, 2]), np.array([1.0, 2.0]),
+            symmetrize=True,
+        )
+        # A symmetric CSR is its own transpose: the arrays are shared, the
+        # object is not (a cached self-reference would be a cycle).
+        assert und.transposed is not und
+        assert und.transposed.indices is und.indices
+        ref = weakref.ref(und)
+        del und
+        assert ref() is None  # freed without the cyclic collector
 
     def test_edges_roundtrip(self):
         g = _triangle()
