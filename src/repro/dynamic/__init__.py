@@ -10,15 +10,17 @@ makes the graph *evolve* without giving up any of that machinery:
 * :func:`incremental_sssp` — repairs a warm distance vector on the updated
   graph by invalidating the affected cone and draining the unchanged
   stepping policies from its frontier; bit-identical to a fresh run.
+  :func:`repair_frontier` is its first half (cone reset plus seeds), which
+  the serving engine runs per warm row before one lockstep drain.
 * :mod:`repro.dynamic.stream` — interleaved update+query traces behind the
   ``repro stream`` CLI.
 
 Serving integration (cache invalidation by fingerprint, warm entries
-seeding repair, the ``engine.update`` fault site) lives in
+repaired in one lockstep drain, the ``engine.update`` fault site) lives in
 :meth:`repro.serving.engine.QueryEngine.apply_updates`.
 """
 
-from repro.dynamic.incremental import affected_cone, incremental_sssp
+from repro.dynamic.incremental import affected_cone, incremental_sssp, repair_frontier
 from repro.dynamic.stream import (
     batch_from_event,
     load_trace,
@@ -45,6 +47,7 @@ __all__ = [
     "incremental_sssp",
     "inverse_batch",
     "load_trace",
+    "repair_frontier",
     "replay",
     "resolve_updates",
     "save_trace",

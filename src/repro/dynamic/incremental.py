@@ -74,6 +74,16 @@ The cone and seeds are exactly the ones the whole-graph definitions give
 drain does work proportional to the cone — versus the many metered waves of
 a full run, which is where the repair-vs-recompute speedup in
 ``BENCH_dynamic.json`` comes from.
+
+Phase 1 and the seed set are :func:`repair_frontier`; the drain is
+separate, so the serving engine
+(:meth:`repro.serving.engine.QueryEngine.apply_updates`) runs phase 1 on
+every warm row of a batch and then drains all rows in **one** lockstep
+:func:`~repro.serving.fastpath.multi_source_distances` call instead of one
+stepping run per row — the same fixpoint, so the same bits.
+:func:`incremental_sssp` stays the per-row, per-policy API: the engine's
+retry path and ``benchmarks/bench_dynamic.py`` use it (``repro stream``
+replays through the engine, so it takes the lockstep drain).
 """
 
 from __future__ import annotations
@@ -92,7 +102,7 @@ from repro.runtime.kernels import gather_edges, unique_ids
 from repro.runtime.workspan import RunStats
 from repro.utils.errors import ParameterError
 
-__all__ = ["affected_cone", "incremental_sssp"]
+__all__ = ["affected_cone", "incremental_sssp", "repair_frontier"]
 
 #: The cone walk pays ~2-3x per edge visit what the whole-graph pass pays
 #: per edge, plus 15-50 us of NumPy dispatch per level (both on a 2-vCPU
@@ -195,16 +205,22 @@ def affected_cone(
     return cone
 
 
-def _repair_frontier(
+def repair_frontier(
     graph: Graph, updates: ResolvedUpdates, dist: np.ndarray, source: int
 ) -> "tuple[int, np.ndarray]":
     """Reset the affected cone of ``dist`` to ``inf`` in place (skipped for a
     decrease-only batch); return ``(cone size, sorted repair seeds)``.
 
-    The seeds are the tails of every improving edge of ``graph`` after the
+    ``dist`` is a warm row as :func:`incremental_sssp` takes it.  The
+    seeds are the tails of every improving edge of ``graph`` after the
     reset: finite tails into the cone, changed edges that now beat their
     head, and the source itself when one of its out-edges does (see the
-    module docstring for why no other edge can improve).
+    module docstring for why no other edge can improve).  Draining the
+    reset row from the seeds with any exact relaxation gives the fresh
+    distances: :func:`incremental_sssp` drains one row through a stepping
+    policy, and :meth:`repro.serving.engine.QueryEngine.apply_updates`
+    drains all its warm rows in one lockstep
+    :func:`~repro.serving.fastpath.multi_source_distances` call.
     """
     cone = 0
     improving = []
@@ -299,7 +315,7 @@ def incremental_sssp(
     dist = np.array(warm_dist, dtype=np.float64, copy=True)
 
     decrease_only = not bool(updates.increases.any())
-    cone, seeds = _repair_frontier(graph, updates, dist, source)
+    cone, seeds = repair_frontier(graph, updates, dist, source)
 
     if seeds.size:
         res = stepping_sssp(

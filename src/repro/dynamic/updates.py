@@ -45,7 +45,7 @@ from functools import cached_property
 
 import numpy as np
 
-from repro.graphs.csr import Graph
+from repro.graphs.csr import Graph, edge_mix_sum
 from repro.obs import OBS
 from repro.utils.errors import GraphFormatError
 
@@ -276,9 +276,12 @@ def apply_resolved(graph: Graph, resolved: ResolvedUpdates) -> Graph:
     and dropped by mask, each surviving insert or reweight is spliced in at
     its ``searchsorted`` position among the kept keys, and ``indptr`` is
     rebuilt from the per-row counts — O(m) copying, bit-identical to
-    re-sorting the whole edge list.  Returns ``graph`` itself when the delta
-    is empty (no CSR change, same fingerprint, same object — callers use
-    identity to detect no-ops).
+    re-sorting the whole edge list.  When ``graph``'s
+    :attr:`~repro.graphs.csr.Graph.edge_sum` is known (its fingerprint was
+    taken), the new graph's is derived from it in O(batch), so the new
+    fingerprint costs no pass over the CSR.  Returns ``graph`` itself when
+    the delta is empty (no CSR change, same fingerprint, same object —
+    callers use identity to detect no-ops).
     """
     if resolved.size == 0:
         return graph
@@ -319,10 +322,20 @@ def apply_resolved(graph: Graph, resolved: ResolvedUpdates) -> Graph:
     if OBS.enabled:
         OBS.registry.inc("dynamic.apply.batches")
         OBS.registry.inc("dynamic.apply.edges_changed", resolved.size)
-    return Graph(
+    out = Graph(
         indptr=indptr, indices=out_dst, weights=out_w,
         directed=graph.directed, name=graph.name,
     )
+    known = graph.__dict__.get("edge_sum")
+    if known is not None:
+        # The fingerprint's edge-multiset sum in O(batch): the parent's,
+        # minus the copies dropped, plus the edges inserted.
+        out.__dict__["edge_sum"] = (
+            known
+            - edge_mix_sum(keys[drop] // n, dst[drop], weights[drop])
+            + edge_mix_sum(resolved.u[live], resolved.v[live], resolved.new_w[live])
+        )
+    return out
 
 
 def apply_updates(graph: Graph, batch: UpdateBatch) -> Graph:

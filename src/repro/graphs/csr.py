@@ -22,10 +22,58 @@ import numpy as np
 
 from repro.utils.errors import GraphFormatError
 
-__all__ = ["Graph"]
+__all__ = ["Graph", "edge_mix_sum"]
 
 _INDEX_DTYPE = np.int64
 _WEIGHT_DTYPE = np.float64
+
+_U64 = np.uint64
+#: Odd multipliers of the per-edge mix: the golden ratio (pairs ``u, v``),
+#: a second-lane key, and MurmurHash3's 64-bit finaliser.
+_PAIR_MUL = _U64(0x9E3779B97F4A7C15)
+_LANE_MUL = _U64(0xD6E8FEB86659FD93)
+_FMIX1, _FMIX2 = _U64(0xFF51AFD7ED558CCD), _U64(0xC4CEB9FE1A85EC53)
+#: Edges mixed per chunk, so the temporaries stay cache-resident.
+_MIX_CHUNK = 1 << 16
+
+
+def _fmix(x: np.ndarray) -> np.ndarray:
+    """MurmurHash3's 64-bit finaliser, in place."""
+    x ^= x >> _U64(33)
+    x *= _FMIX1
+    x ^= x >> _U64(33)
+    x *= _FMIX2
+    x ^= x >> _U64(33)
+    return x
+
+
+def edge_mix_sum(src, dst, weight) -> np.ndarray:
+    """Sum of a per-edge 128-bit mix of ``(src, dst, float64 bits of
+    weight)`` over the given edges, as two independent ``uint64`` lanes
+    (each mod 2**64).
+
+    Addition makes the sum a multiset hash: it ignores edge order, and an
+    edit updates it by subtracting the terms of the removed edges and
+    adding those of the inserted ones.
+    """
+    src = np.asarray(src, dtype=_INDEX_DTYPE)
+    dst = np.asarray(dst, dtype=_INDEX_DTYPE)
+    bits = np.ascontiguousarray(weight, dtype=_WEIGHT_DTYPE).view(_U64)
+    out = np.zeros(2, dtype=_U64)
+    lanes = np.empty(2, dtype=_U64)  # array adds wrap silently; scalars warn
+    for lo in range(0, len(src), _MIX_CHUNK):
+        hi = lo + _MIX_CHUNK
+        pair = src[lo:hi].astype(_U64)
+        pair *= _PAIR_MUL
+        pair += dst[lo:hi].astype(_U64)
+        _fmix(pair)
+        w = bits[lo:hi]
+        lanes[0] = _fmix(pair ^ w).sum(dtype=_U64)
+        pair *= _LANE_MUL
+        pair += w
+        lanes[1] = _fmix(pair).sum(dtype=_U64)
+        out += lanes
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,22 +205,38 @@ class Graph:
         return np.repeat(np.arange(self.n, dtype=_INDEX_DTYPE), self.degrees)
 
     @cached_property
-    def fingerprint(self) -> str:
-        """Content hash over ``(indptr, indices, weights, directed)``.
+    def edge_sum(self) -> np.ndarray:
+        """The 128-bit edge-multiset sum behind :attr:`fingerprint`: two
+        ``uint64`` lanes of :func:`edge_mix_sum` over every stored edge
+        (cached; do not mutate).  :func:`repro.dynamic.apply_resolved`
+        seeds it on the updated graph from this one's in O(batch)."""
+        return edge_mix_sum(self.edge_sources, self.indices, self.weights)
 
-        Two graphs share a fingerprint iff they are the same CSR bit for bit,
-        regardless of ``name`` or object identity — which is what makes it a
-        safe cache-key component: two differently-weighted graphs that happen
-        to share a name (and even a shape) can never alias each other's
-        cached distance vectors.  Computed once per object (``Graph`` is
-        immutable) and reused by :class:`repro.serving.cache.ResultCache`.
+    @cached_property
+    def fingerprint(self) -> str:
+        """Content hash over ``(directed, n, m, edge_sum)``.
+
+        Two graphs share a fingerprint iff they have the same directedness,
+        the same ``n`` and the same edge multiset — regardless of ``name``,
+        object identity or the order edges are stored in within a row
+        (up to a chance collision of the 128-bit multiset sum).  That
+        is what every fingerprint-keyed consumer needs: distances, label
+        tables and shared-memory segments depend on the edge multiset
+        alone, and two differently-weighted graphs that happen to share a
+        name (and even a shape) can never alias each other's cached
+        distance vectors.  Computed once per object (``Graph`` is
+        immutable) and reused by :class:`repro.serving.cache.ResultCache`;
+        an updated graph derives it from its parent's :attr:`edge_sum` in
+        O(batch) rather than rehashing the CSR.
+
+        ``.labels`` artifacts written under the earlier definition (a
+        blake2b over the raw CSR arrays) match no graph, so they are
+        rejected as stale and rebuilt.
         """
         h = hashlib.blake2b(digest_size=16)
         h.update(b"directed" if self.directed else b"undirected")
-        h.update(np.int64(self.n).tobytes())
-        h.update(np.ascontiguousarray(self.indptr, dtype=_INDEX_DTYPE).tobytes())
-        h.update(np.ascontiguousarray(self.indices, dtype=_INDEX_DTYPE).tobytes())
-        h.update(np.ascontiguousarray(self.weights, dtype=_WEIGHT_DTYPE).tobytes())
+        h.update(np.array([self.n, self.m], dtype=_INDEX_DTYPE).tobytes())
+        h.update(self.edge_sum.tobytes())
         return h.hexdigest()
 
     @cached_property

@@ -74,11 +74,16 @@ Resilience (all off the hot path unless something goes wrong):
 Dynamic graphs: :meth:`QueryEngine.apply_updates` applies an edge-update
 batch (see :mod:`repro.dynamic`) to the served graph — stale cache entries
 for the pre-update fingerprint are invalidated (never served again) and
-their warm distances seed :func:`~repro.dynamic.incremental_sssp` repair on
-the updated graph, so popular sources stay hot across updates without a
-full recompute.  A repair that keeps failing degrades to a fresh fast-path
-recompute for that entry, and failing that the entry is simply dropped
-(the next query recomputes) — updates never leave wrong answers behind.
+their warm distances are repaired on the updated graph in one lockstep
+drain (each row's cone reset and seeds from
+:func:`~repro.dynamic.repair_frontier`, then one warm-started
+:func:`~repro.serving.fastpath.multi_source_distances` over all rows), so
+popular sources stay hot across updates without a full recompute.  An
+entry whose lockstep row is faulted or rejected retries through
+:func:`~repro.dynamic.incremental_sssp` alone; a repair that keeps failing
+degrades to a fresh fast-path recompute for that entry, and failing that
+the entry is simply dropped (the next query recomputes) — updates never
+leave wrong answers behind.
 
 Fault-injection sites: ``engine.execute`` fires on every execution attempt;
 ``engine.sharded`` additionally fires on the sharded path only — which is
@@ -898,19 +903,29 @@ class QueryEngine:
         the current graph; a pure no-op leaves everything untouched (same
         graph object, same fingerprint, cache intact).  Otherwise:
 
-        1. the updated graph is assembled (new CSR, new fingerprint);
+        1. the updated graph is assembled (patched CSR; its fingerprint is
+           derived from the old one's in O(batch));
         2. every cache entry keyed by the *old* fingerprint is invalidated —
            the key scheme guarantees stale distances can never be served —
-           and the dropped entries are kept as warm seeds;
-        3. each warm entry is repaired on the new graph via
-           :func:`~repro.dynamic.incremental_sssp` (bit-identical to a fresh
-           run) and re-inserted under the new fingerprint's key.  Repair
-           attempts pass through the ``engine.update`` fault site with the
-           engine's retry budget; an entry whose repair keeps failing
-           degrades to a full fast-path recompute, and if that fails too the
-           entry is dropped so the next query recomputes it;
-        4. execution planes bound to the old CSR (sharded partition, batch
-           pool) are rebuilt on the new graph.
+           and the dropped entries are kept as warm seeds; the label tier
+           is dropped, the graph swapped, and the execution plane bound to
+           the old CSR (sharded partition or batch pool) rebuilt on the new
+           one;
+        3. every warm entry is repaired in one lockstep drain: each row's
+           cone is reset and its seeds found
+           (:func:`~repro.dynamic.repair_frontier`), then one warm-started
+           :func:`~repro.serving.fastpath.multi_source_distances` call
+           relaxes all rows (bit-identical to a fresh run).  Entry by
+           entry, in cache order, that row is attempt 0: it passes the
+           ``engine.update`` fault site and result validation, and is
+           re-inserted under the new fingerprint's key.  A faulted or
+           rejected entry retries through
+           :func:`~repro.dynamic.incremental_sssp` with the engine's retry
+           budget, then degrades to a full fast-path recompute, and if that
+           fails too the entry is dropped so the next query recomputes it.
+           If the drain itself raises, every entry takes the per-entry path
+           from attempt 0;
+        4. in ``"p2p"`` mode the label tables are rebuilt on the new graph.
 
         Returns a summary dict: ``changed`` (edge deltas applied),
         ``invalidated`` / ``repaired`` / ``degraded`` cache entries, and the
@@ -947,9 +962,12 @@ class QueryEngine:
         self._labels_given_up = None
         self._bind_plane(new_graph)
         repaired = degraded = 0
-        for key, warm in dropped.items():
+        entries = list(dropped.items())
+        rows = self._lockstep_repair(new_graph, resolved, entries)
+        for i, (key, warm) in enumerate(entries):
             source = key[4]
-            dist = self._repair_entry(new_graph, resolved, warm, source)
+            first = None if rows is None else rows[i]
+            dist = self._repair_entry(new_graph, resolved, warm, source, first)
             if dist is None:
                 degraded += 1
                 dist = self._recompute_entry(source)
@@ -987,9 +1005,50 @@ class QueryEngine:
             "fingerprint": new_graph.fingerprint,
         }
 
-    def _repair_entry(self, graph, resolved, warm, source: int) -> "np.ndarray | None":
+    def _lockstep_repair(self, graph, resolved, entries) -> "np.ndarray | None":
+        """Repair every warm entry in one drain: the ``(K, n)`` rows in
+        ``entries`` order, or ``None`` when there are no entries or the
+        drain raised (each entry then repairs on its own).
+
+        Each row's cone is reset and its seeds found by
+        :func:`~repro.dynamic.repair_frontier`; one warm-started
+        :func:`~repro.serving.fastpath.multi_source_distances` call then
+        relaxes every row's frontier in lockstep.  The drain reaches the
+        same fixpoint as a per-entry repair or a fresh run, so the rows
+        are bit-identical to both.
+        """
+        if not entries:
+            return None
+        from repro.dynamic import repair_frontier
+
+        sources = [key[4] for key, _ in entries]
+        try:
+            dist = np.array([warm for _, warm in entries], dtype=np.float64)
+            frontiers = [
+                repair_frontier(graph, resolved, row, source)
+                for row, source in zip(dist, sources)
+            ]
+            rows = multi_source_distances(
+                graph, sources, algo=self.algo, param=self.param,
+                dist_init=dist, seeds=[seeds for _, seeds in frontiers],
+            )
+        except Exception as exc:
+            _LOG.warning("lockstep repair failed (%s); repairing entry by entry", exc)
+            return None
+        if OBS.enabled:
+            OBS.registry.inc("dynamic.repairs", len(entries))
+            OBS.registry.inc("dynamic.cone", sum(cone for cone, _ in frontiers))
+            OBS.registry.inc("dynamic.seeds", sum(len(seeds) for _, seeds in frontiers))
+        return rows
+
+    def _repair_entry(
+        self, graph, resolved, warm, source: int, first: "np.ndarray | None" = None
+    ) -> "np.ndarray | None":
         """Repair one warm cache entry on the updated graph, or ``None``.
 
+        ``first`` is the entry's row from the lockstep drain: attempt 0
+        offers it, and later attempts (or every attempt, without it) run
+        :func:`~repro.dynamic.incremental_sssp` on the entry alone.
         Mirrors ``_attempts``: every attempt fires the ``engine.update``
         fault site, the result is validated like an executed batch (so a
         corrupted repair is rejected and retried, never cached), and
@@ -1004,11 +1063,13 @@ class QueryEngine:
         for attempt in range(self.retries + 1):
             try:
                 directive = injector.fire("engine.update", index=index, attempt=attempt)
-                res = incremental_sssp(
-                    graph, resolved, np.asarray(warm),
-                    policy=self._make_policy(), source=source, seed=self.seed,
-                )
-                dist = res.dist
+                if attempt == 0 and first is not None:
+                    dist = first
+                else:
+                    dist = incremental_sssp(
+                        graph, resolved, np.asarray(warm),
+                        policy=self._make_policy(), source=source, seed=self.seed,
+                    ).dist
                 if directive == "corrupt":
                     dist = np.array(dist, copy=True)
                     dist[source] += 1.0  # breaks the zero-self-distance invariant

@@ -21,6 +21,17 @@ Distances are bit-identical to :func:`repro.core.rho_stepping` /
 ``delta_star_stepping`` / ``bellman_ford`` for the same sources (asserted in
 ``tests/serving`` and in ``benchmarks/bench_multisource.py``); step *counts*
 are not comparable and are intentionally not reported.
+
+The drain also takes a **warm start**: ``dist_init`` (one row of valid
+upper bounds per source) plus per-row seed sets, the lane-wise shape of
+:func:`~repro.core.framework.stepping_sssp`'s ``dist_init``/``seeds``.
+:meth:`repro.serving.engine.QueryEngine.apply_updates` uses it to repair
+every warm cache row of an update batch in one lockstep drain: each row's
+cone is reset and its seeds found by :func:`repro.dynamic.repair_frontier`,
+and the rows' frontiers then relax through the same single gather per step
+as a cold batch.  The write-min fixpoint does not depend on where the drain
+starts, so the repaired rows are bit-identical to a cold call on the
+updated graph (``tests/dynamic/test_lockstep.py``).
 """
 
 from __future__ import annotations
@@ -66,6 +77,8 @@ def multi_source_distances(
     *,
     algo: str = "bf",
     param=None,
+    dist_init: "np.ndarray | None" = None,
+    seeds=None,
 ) -> np.ndarray:
     """Shortest-path distances from ``K`` sources as a ``(K, n)`` matrix.
 
@@ -84,6 +97,17 @@ def multi_source_distances(
         distances; the rule only shapes the wavefronts.
     param:
         Δ for ``"delta"``, ρ for ``"rho"``; ignored for ``"bf"``.
+    dist_init:
+        Warm start: a ``float64 (K, n)`` matrix whose row ``i`` holds valid
+        upper bounds (achievable path lengths or ``inf``) on the distances
+        from ``sources[i]``, drained in place of ``[0, inf, ...]`` — the
+        shape of :func:`~repro.core.framework.stepping_sssp`'s ``dist_init``
+        per lane.  The matrix is taken over by the run (pass a copy if the
+        caller keeps it).  Requires ``seeds``.
+    seeds:
+        With ``dist_init``: ``K`` arrays of vertex ids, row ``i``'s repair
+        frontier (the vertices whose out-edges may still improve row
+        ``i``).  Empty rows are returned as given.
     """
     if algo not in ("bf", "delta", "rho"):
         raise ParameterError(f"unknown fast-path algo {algo!r}")
@@ -93,23 +117,48 @@ def multi_source_distances(
         raise ParameterError(f"rho fast path needs rho >= 1, got {param}")
     if algo == "rho":
         param = int(param)
+    if (dist_init is None) != (seeds is None):
+        raise ParameterError("dist_init and seeds must be passed together")
     src = np.asarray(list(sources), dtype=_INT)
     n = graph.n
     K = len(src)
-    if K == 0:
-        return np.zeros((0, n))
     if src.size and (src.min() < 0 or src.max() >= n):
         raise ParameterError(f"source out of range [0, {n})")
-
-    dist = np.full((K, n), np.inf)
-    flat = dist.reshape(-1)
-    queued = np.zeros(K * n, dtype=bool)
     row_bounds = np.arange(K + 1, dtype=_INT) * n
-    seeds = row_bounds[:-1] + src
-    flat[seeds] = 0.0
-    queued[seeds] = True
-    pull = not graph.directed
 
+    if dist_init is None:
+        if K == 0:
+            return np.zeros((0, n))
+        dist = np.full((K, n), np.inf)
+        start = row_bounds[:-1] + src
+        dist.reshape(-1)[start] = 0.0
+    else:
+        dist = np.ascontiguousarray(dist_init, dtype=np.float64)
+        if dist.shape != (K, n):
+            raise ParameterError(
+                f"dist_init has shape {dist.shape}, expected {(K, n)}"
+            )
+        if len(seeds) != K:
+            raise ParameterError(f"got {len(seeds)} seed sets for {K} sources")
+        seeds = [np.asarray(s, dtype=_INT) for s in seeds]
+        start = np.concatenate([np.zeros(0, dtype=_INT), *seeds])
+        if start.size and (start.min() < 0 or start.max() >= n):
+            raise ParameterError(f"seed out of range [0, {n})")
+        start += np.repeat(row_bounds[:-1], [len(s) for s in seeds])
+    queued = np.zeros(K * n, dtype=bool)
+    queued[start] = True
+    _drain(graph, dist.reshape(-1), queued, row_bounds, algo, param)
+    return dist
+
+
+def _drain(
+    graph: Graph, flat: np.ndarray, queued: np.ndarray, row_bounds: np.ndarray,
+    algo: str, param,
+) -> None:
+    """Relax every lane of the flat ``(K, n)`` distance matrix from its
+    queued vertices until no lane has one left (in place)."""
+    n = graph.n
+    pull = not graph.directed
     while True:
         idx = np.flatnonzero(queued)
         if idx.size == 0:
@@ -149,4 +198,3 @@ def multi_source_distances(
             sc = cand[sub]
             old = scatter_min(flat, se, sc)
             queued[se[sc < old]] = True
-    return dist

@@ -213,7 +213,7 @@ def _assert_matches_definition(g2, resolved, dist, source):
     cone = affected_cone(g2, resolved, dist, source)
     assert np.array_equal(cone, _oracle_cone(g2, dist, source))
     got = np.array(dist, copy=True)
-    size, seeds = incremental._repair_frontier(g2, resolved, got, source)
+    size, seeds = incremental.repair_frontier(g2, resolved, got, source)
     want, want_seeds = _oracle_frontier(g2, resolved, dist, source)
     assert np.array_equal(seeds, want_seeds)
     assert np.array_equal(got, want)

@@ -4,7 +4,10 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.dynamic import UpdateBatch, apply_updates
 from repro.graphs import Graph
 from repro.utils import GraphFormatError
 
@@ -186,6 +189,88 @@ class TestFingerprint:
         )
         flipped = Graph(g.indptr, g.indices, g.weights, directed=True)
         assert g.fingerprint != flipped.fingerprint
+
+
+class TestFingerprintContract:
+    """Equal iff same directedness, same ``n`` and same edge multiset."""
+
+    def test_ignores_storage_order_within_a_row(self):
+        g = Graph.from_edges(
+            3, np.array([0, 0, 1]), np.array([1, 2, 2]), np.array([1.0, 2.0, 3.0])
+        )
+        order = np.array([1, 0, 2])  # row 0 stored target-descending
+        shuffled = Graph(g.indptr, g.indices[order], g.weights[order])
+        assert shuffled.fingerprint == g.fingerprint
+
+    def test_differs_on_vertex_count(self):
+        g = _triangle()
+        wider = Graph(np.append(g.indptr, g.m), g.indices, g.weights)
+        assert wider.n == g.n + 1
+        assert wider.fingerprint != g.fingerprint
+
+    def test_differs_on_edge_multiplicity(self):
+        g = _triangle()
+        doubled = Graph.from_edges(
+            3, np.array([0, 0, 1, 2]), np.array([1, 1, 2, 0]),
+            np.array([1.0, 1.0, 2.0, 3.0]), dedup=False,
+        )
+        assert doubled.fingerprint != g.fingerprint
+
+
+@st.composite
+def _graph_and_batches(draw):
+    """A small multigraph (parallel copies stored lighter- or heavier-first)
+    and two chained update batches with integer weights."""
+    directed = draw(st.booleans(), label="directed")
+    n = draw(st.integers(2, 10), label="n")
+    vertex = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex, st.integers(1, 9)), max_size=24))
+    edges = [(u, v, float(w)) for u, v, w in edges if u != v]
+    copies = draw(st.sampled_from(["none", "lighter-first", "heavier-first"]))
+    if copies != "none":
+        doubled = []
+        for i, (u, v, w) in enumerate(edges):
+            if i % 2:
+                doubled.append((u, v, w))
+                continue
+            pair = [(u, v, w), (u, v, w + 5.0)]
+            doubled.extend(pair if copies == "lighter-first" else pair[::-1])
+        edges = doubled
+    src, dst, wt = (np.array(col, dtype=dtype) for col, dtype in zip(
+        zip(*edges) if edges else ([], [], []), (np.int64, np.int64, np.float64)
+    ))
+    g = Graph.from_edges(n, src, dst, wt, directed=directed,
+                         symmetrize=not directed, dedup=False)
+    batches = []
+    for _ in range(2):
+        ops = draw(st.lists(
+            st.tuples(st.integers(0, 2), vertex, vertex, st.integers(1, 9)),
+            min_size=1, max_size=6,
+        ))
+        ins, dels, rews = [], [], []
+        for kind, u, v, w in ops:
+            if u == v:
+                continue
+            (ins, dels, rews)[kind].append((u, v) if kind == 1 else (u, v, float(w)))
+        batches.append(UpdateBatch(inserts=ins, deletes=dels, reweights=rews))
+    return g, batches
+
+
+@given(case=_graph_and_batches())
+@settings(max_examples=80, deadline=None)
+def test_updated_fingerprint_equals_fresh_graph(case):
+    """The O(batch) fingerprint an update derives equals the one a fresh
+    ``Graph`` over the same arrays computes from scratch, along a chain."""
+    g, batches = case
+    g.fingerprint  # the parent's edge sum is known, so updates derive theirs
+    for batch in batches:
+        g2 = apply_updates(g, batch)
+        if g2 is not g:
+            assert "edge_sum" in g2.__dict__  # derived, not recomputed
+            fresh = Graph(g2.indptr, g2.indices, g2.weights, directed=g2.directed)
+            assert g2.fingerprint == fresh.fingerprint
+            assert g2.fingerprint != g.fingerprint
+        g = g2
 
 
 class TestSymmetryCache:
