@@ -1,6 +1,6 @@
 """Multi-source batch benchmark: scalar loop vs batch engines vs pooled serving.
 
-Answers K SSSP queries on one graph five ways and reports queries/second:
+Answers K SSSP queries on one graph four ways and reports queries/second:
 
 * **scalar** — the baseline serial loop, one metered scalar run per source
   (what ``average_simulated_time`` did before this layer existed);
@@ -8,17 +8,12 @@ Answers K SSSP queries on one graph five ways and reports queries/second:
   relaxation wave, per-lane PQs, bit-for-bit StepRecord streams);
 * **fast-batch** — the dense :mod:`repro.serving.fastpath` engine (identical
   distances, no accounting);
-* **pooled-pickle** — the chunked fast path fanned out through a persistent
-  :class:`~repro.serving.BatchPool` with the legacy pickle transport (graph
-  shipped to each worker, result rows pickled home);
-* **pooled-shm** — the same pool on the zero-copy shared-memory plane
-  (:mod:`repro.runtime.shm`): workers map the parent's CSR segments and
-  write rows straight into a shared arena.
+* **pooled** — the chunked fast path fanned out through a persistent
+  :class:`~repro.serving.BatchPool` (graph installed once per worker,
+  result rows pickled home).
 
 Distance equality against the scalar loop is asserted inside the benchmark
-for **every** variant — a speedup that changes answers is not a speedup —
-and the run ends with a shared-memory leak check
-(:func:`~repro.runtime.shm.leaked_segments` must be empty).
+for **every** variant — a speedup that changes answers is not a speedup.
 
 Results land in ``BENCH_multisource.json``.  Usage::
 
@@ -27,8 +22,8 @@ Results land in ``BENCH_multisource.json``.  Usage::
 
 The full run enforces two acceptance criteria: fast-batch must clear 2x the
 scalar loop for a 16-source batch on the GE (road-grid) stand-in, and
-pooled-shm must clear 1.3x the scalar loop on at least one
-graph x algorithm row.
+pooled must clear 1.3x the scalar loop on at least one graph x algorithm
+row.
 """
 
 from __future__ import annotations
@@ -52,7 +47,6 @@ from repro.core import (
     rho_stepping_batch,
 )
 from repro.datasets import load_dataset
-from repro.runtime.shm import leaked_segments
 from repro.serving import BatchPool, multi_source_distances
 from repro.utils import spawn_generators
 
@@ -111,29 +105,19 @@ def bench_case(graph, gname, scale, sources, label, algo, param, scalar, batch,
     if not np.array_equal(ref, fast):
         raise AssertionError(f"{label}: fast-batch distances differ from scalar loop")
 
-    # Pooled serving: the chunked fast path through a persistent BatchPool,
-    # once per transport.  The pool stays warm across repeats (that is the
-    # production shape) and every variant's distances must equal the scalar
-    # reference bit for bit.
-    pooled = {}
-    for variant, use_shm in (("pooled-pickle", False), ("pooled-shm", True)):
-        with BatchPool(
-            graph, jobs, algo=algo, param=param, use_shm=use_shm
-        ) as pool:
-            pool.health_probe(timeout=60.0)  # absorb worker start-up cost
-            seconds, dist = _best_of(lambda: pool.distances(sources), repeats)
-            transport = pool.stats()["transport"]
-        if not np.array_equal(ref, dist):
-            raise AssertionError(
-                f"{label}: {variant} distances differ from scalar loop"
-            )
-        pooled[variant] = (seconds, transport)
+    # Pooled serving: the chunked fast path through a persistent BatchPool.
+    # The pool stays warm across repeats (that is the production shape) and
+    # its distances must equal the scalar reference bit for bit.
+    with BatchPool(graph, jobs, algo=algo, param=param) as pool:
+        pool.health_probe(timeout=60.0)  # absorb worker start-up cost
+        pooled_t, pooled = _best_of(lambda: pool.distances(sources), repeats)
+    if not np.array_equal(ref, pooled):
+        raise AssertionError(f"{label}: pooled distances differ from scalar loop")
 
-    def row(variant, seconds, transport="local"):
+    def row(variant, seconds):
         return {
             "graph": gname, "scale": scale, "algorithm": label,
             "variant": variant, "sources": K, "seconds": seconds,
-            "transport": transport,
             "qps": K / seconds if seconds else float("inf"),
             "speedup_vs_scalar": scalar_t / seconds if seconds else float("inf"),
         }
@@ -142,19 +126,18 @@ def bench_case(graph, gname, scale, sources, label, algo, param, scalar, batch,
         row("scalar-loop", scalar_t),
         row("exact-batch", exact_t),
         row("fast-batch", fast_t),
-        row("pooled-pickle", *pooled["pooled-pickle"]),
-        row("pooled-shm", *pooled["pooled-shm"]),
+        row("pooled", pooled_t),
     ]
 
 
 def render(result: dict) -> str:
     lines = ["-- multi-source batch (distances verified equal across variants) --",
-             f"{'graph':<7}{'algorithm':<11}{'variant':<15}{'transport':<11}{'K':>4}"
+             f"{'graph':<7}{'algorithm':<11}{'variant':<13}{'K':>4}"
              f"{'seconds':>10}{'q/s':>9}{'speedup':>9}"]
     for r in result["rows"]:
         lines.append(
-            f"{r['graph']:<7}{r['algorithm']:<11}{r['variant']:<15}"
-            f"{r['transport']:<11}{r['sources']:>4}"
+            f"{r['graph']:<7}{r['algorithm']:<11}{r['variant']:<13}"
+            f"{r['sources']:>4}"
             f"{r['seconds']:>10.4f}{r['qps']:>9.1f}{r['speedup_vs_scalar']:>8.2f}x"
         )
     lines.append("")
@@ -176,7 +159,7 @@ def main(argv: "list[str] | None" = None) -> int:
     ap.add_argument("--sources", type=int, default=None,
                     help="batch size K (default: 16; smoke: 4)")
     ap.add_argument("--jobs", type=int, default=2,
-                    help="pool workers for the pooled variants")
+                    help="pool workers for the pooled variant")
     ap.add_argument("--repeats", type=int, default=None,
                     help="best-of repeats per timing (default: 3; smoke: 1)")
     ap.add_argument("--out", type=Path, default=REPO_ROOT / "BENCH_multisource.json",
@@ -207,22 +190,17 @@ def main(argv: "list[str] | None" = None) -> int:
         "passed": fast_rho["speedup_vs_scalar"] >= 2.0,
     }
 
-    # Criterion 2: pooled-shm > 1.3x scalar on at least one
-    # graph x algorithm row (the shm-plane acceptance bar).
-    shm_rows = [r for r in rows if r["variant"] == "pooled-shm"]
-    best_shm = max(shm_rows, key=lambda r: r["speedup_vs_scalar"])
+    # Criterion 2: pooled > 1.3x scalar on at least one
+    # graph x algorithm row (the pool-plane acceptance bar).
+    pooled_rows = [r for r in rows if r["variant"] == "pooled"]
+    best_pooled = max(pooled_rows, key=lambda r: r["speedup_vs_scalar"])
     pooled_criterion = {
-        "case": f"{best_shm['algorithm']} {gname}-{scale} K={K}",
-        "variant": "pooled-shm",
+        "case": f"{best_pooled['algorithm']} {gname}-{scale} K={K}",
+        "variant": "pooled",
         "required": 1.3,
-        "measured": best_shm["speedup_vs_scalar"],
-        "passed": best_shm["speedup_vs_scalar"] > 1.3,
+        "measured": best_pooled["speedup_vs_scalar"],
+        "passed": best_pooled["speedup_vs_scalar"] > 1.3,
     }
-
-    # Every pool is closed; the shm plane must have unlinked every segment.
-    leaks = leaked_segments()
-    if leaks:
-        raise AssertionError(f"leaked shared-memory segments: {leaks}")
 
     result = {
         "bench": "multisource",
@@ -236,7 +214,6 @@ def main(argv: "list[str] | None" = None) -> int:
         "rows": rows,
         "criterion": criterion,
         "pooled_criterion": pooled_criterion,
-        "leaked_segments": leaks,
     }
     print(render(result))
     args.out.write_text(json.dumps(result, indent=2) + "\n")

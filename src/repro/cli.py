@@ -199,7 +199,7 @@ def _cmd_batch(args) -> int:
     engine = QueryEngine(
         g, args.algo, args.param, seed=args.seed,
         retries=args.retries, shards=args.shards, partitioner=args.partitioner,
-        refine=args.refine, pool_jobs=args.jobs, use_shm=args.shm,
+        refine=args.refine, pool_jobs=args.jobs,
     )
     with engine:
         t0 = time.perf_counter()
@@ -244,7 +244,7 @@ def _cmd_sweep(args) -> int:
 
         with SweepPool(
             g, args.jobs, timeout=args.task_timeout, retries=args.retries,
-            collect_metrics=OBS.registry.enabled, use_shm=args.shm,
+            collect_metrics=OBS.registry.enabled,
         ) as pool:
             grid = pool.map_cells(impl.key, params, [args.source], machine, seed=args.seed)
         times = [row[0] for row in grid]
@@ -329,7 +329,7 @@ def _cmd_serve(args) -> int:
         g, args.algo, args.param, seed=args.seed, retries=args.retries,
         mode="p2p" if args.p2p else "fast",
         shards=args.shards, partitioner=args.partitioner,
-        pool_jobs=args.jobs, use_shm=args.shm,
+        pool_jobs=args.jobs,
         labels_path=args.labels if args.p2p else None,
     )
     server = ShortestPathServer(
@@ -650,9 +650,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=0,
                    help="serve the batch through a pool of N worker processes "
                         "(0 = in-process; not with --shards)")
-    p.add_argument("--shm", action=argparse.BooleanOptionalAction, default=None,
-                   help="ship graphs/results to pool workers via shared memory "
-                        "(default: auto-detect; --no-shm forces pickle)")
     p.add_argument("--verify", action="store_true",
                    help="check every row against sequential Dijkstra")
     p.add_argument("--shards", type=int, default=0,
@@ -681,9 +678,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-cell timeout in seconds for pooled sweeps")
     p.add_argument("--retries", type=int, default=2,
                    help="per-cell retry budget for pooled sweeps")
-    p.add_argument("--shm", action=argparse.BooleanOptionalAction, default=None,
-                   help="ship the graph to sweep workers via shared memory "
-                        "(default: auto-detect; --no-shm forces pickle)")
     p.add_argument("--metrics", default=None, metavar="PATH",
                    help="write a metrics snapshot (.json, or .prom/.txt for "
                         "Prometheus text format); pooled sweeps merge "
@@ -734,8 +728,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="engine execution retries on transient failure")
     p.add_argument("--jobs", type=int, default=0,
                    help="serve batches through a pool of N worker processes")
-    p.add_argument("--shm", action=argparse.BooleanOptionalAction, default=None,
-                   help="shared-memory transport for pooled serving")
     p.add_argument("--shards", type=int, default=0,
                    help="serve through the sharded BSP executor with N shards")
     p.add_argument("--partitioner", choices=["contiguous", "degree", "fennel", "ldg"],

@@ -5,7 +5,7 @@ and reweights — applied *simultaneously* to a :class:`~repro.graphs.csr.Graph`
 :func:`apply_updates` produces a brand-new CSR (and therefore a new content
 :attr:`~repro.graphs.csr.Graph.fingerprint`); the original graph is never
 mutated, which is what keeps every cached fingerprint-keyed artifact
-(result rows, shm segments, shard partitions) trivially consistent.
+(result rows, label tables, shard partitions) trivially consistent.
 
 Semantics
 ---------

@@ -221,8 +221,8 @@ class Graph:
         object identity or the order edges are stored in within a row
         (up to a chance collision of the 128-bit multiset sum).  That
         is what every fingerprint-keyed consumer needs: distances, label
-        tables and shared-memory segments depend on the edge multiset
-        alone, and two differently-weighted graphs that happen to share a
+        tables and shard partitions depend on the edge multiset alone, and
+        two differently-weighted graphs that happen to share a
         name (and even a shape) can never alias each other's cached
         distance vectors.  Computed once per object (``Graph`` is
         immutable) and reused by :class:`repro.serving.cache.ResultCache`;

@@ -1,21 +1,9 @@
-"""Simulated fork-join runtime: atomics, work-span accounting, machine model,
-and the zero-copy shared-memory execution plane for process pools."""
+"""Simulated fork-join runtime: atomics, work-span accounting, machine model."""
 
 from repro.runtime.atomics import test_and_set, write_min, write_min_2d
 from repro.runtime.parallel import PartitionedRelaxer
 from repro.runtime.machine import DEFAULT_PROFILE, CostProfile, MachineModel
 from repro.runtime.scheduler import brent_bound, greedy_makespan, lpt_makespan
-from repro.runtime.shm import (
-    SHM_PREFIX,
-    SharedArrayHandle,
-    SharedGraphHandle,
-    ShmManager,
-    ShmUnavailable,
-    close_manager,
-    get_manager,
-    leaked_segments,
-    shm_available,
-)
 from repro.runtime.workspan import RunStats, StepRecord
 
 __all__ = [
@@ -24,19 +12,10 @@ __all__ = [
     "MachineModel",
     "PartitionedRelaxer",
     "RunStats",
-    "SHM_PREFIX",
-    "SharedArrayHandle",
-    "SharedGraphHandle",
-    "ShmManager",
-    "ShmUnavailable",
     "StepRecord",
     "brent_bound",
-    "close_manager",
-    "get_manager",
     "greedy_makespan",
-    "leaked_segments",
     "lpt_makespan",
-    "shm_available",
     "test_and_set",
     "write_min",
     "write_min_2d",

@@ -18,10 +18,8 @@ SSSP queries at wall-clock speed and keeps serving them when things break:
   process-pool execution (timeouts, retries with backoff, rebuild on worker
   crash, health probe).
 * :mod:`repro.serving.pool` — persistent pools routed through the
-  supervisor and the zero-copy shared-memory plane
-  (:mod:`repro.runtime.shm`): :class:`SweepPool` for the sweep grid and
-  :class:`BatchPool` for pooled multi-source serving (chunked fast path,
-  results written into a shared arena instead of pickled home).
+  supervisor: :class:`SweepPool` for the sweep grid and :class:`BatchPool`
+  for pooled multi-source serving (the fast path, chunked across workers).
 * :mod:`repro.serving.faults` — deterministic fault injection
   (:class:`FaultPlan`/:class:`FaultInjector`) driving the chaos suite;
   a no-op unless explicitly installed.
@@ -29,8 +27,9 @@ SSSP queries at wall-clock speed and keeps serving them when things break:
   door: p95 latency tracking, deadline-feasibility checks, bounded-queue
   reject-newest shedding, and a token-bucket retry budget.
 * :mod:`repro.serving.server` — :class:`ShortestPathServer`, the asyncio
-  micro-batching front door (flush at **B** requests or **T** ms) plus the
-  newline-delimited-JSON TCP front that ``repro serve`` runs.
+  micro-batching front door (flush as soon as the worker is free, at most
+  **B** requests per batch) plus the newline-delimited-JSON TCP front that
+  ``repro serve`` runs.
 * :mod:`repro.serving.loadgen` — open-loop load generator (Poisson
   arrivals, power-law source popularity) with per-profile SLO reports and
   in-run distance-equality asserts against scalar runs.

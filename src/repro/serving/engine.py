@@ -35,19 +35,16 @@ by :meth:`QueryEngine.apply_updates`):
   degradation story is unchanged — a failing sharded path degrades to the
   fast path.
 * **pooled** — ``pool_jobs >= 2`` executes every fast-path batch through a
-  persistent :class:`~repro.serving.pool.BatchPool`: the graph lives in
-  shared memory (one registration, O(1) handles) and result rows come home
-  through a shared arena instead of pickles when the platform has the shm
-  plane (``use_shm`` selects; see :mod:`repro.runtime.shm`).  A failing
-  pooled batch falls back to the in-process fast path (identical
-  distances) and the event is counted in ``stats()["pool_fallbacks"]``.
-* **local** — otherwise, the in-process fast path.
+  persistent :class:`~repro.serving.pool.BatchPool`: each worker holds the
+  graph and the batch's chunks run in parallel.  A failing pooled batch
+  falls back to the in-process fast path (identical distances) and the
+  event is counted in ``stats()["pool_fallbacks"]``.
+* **local** — otherwise, the in-process fast path (the sharded executor
+  counts as local too: it runs in process).
 
-Every executed batch records the transport that produced it
-(``"shm"``/``"pickle"`` from the pool, ``"local"`` for in-process
-execution) in ``stats()["transports"]``; ``stats()["transport"]`` is the
-most recent batch's, so benchmark rows are attributable to their data
-plane.
+Every executed batch records where it ran (``"pool"`` or ``"local"``) in
+``stats()["transports"]``; ``stats()["transport"]`` is the most recent
+batch's, so benchmark rows are attributable to their execution plane.
 
 Resilience (all off the hot path unless something goes wrong):
 
@@ -178,11 +175,6 @@ class QueryEngine:
         :class:`~repro.serving.pool.BatchPool` of that many workers;
         ``0``/``1`` (default) executes in process.  Incompatible with
         ``shards >= 1`` (a different execution plane).
-    use_shm:
-        Transport for the pooled path: ``None`` auto-probes the
-        shared-memory plane, ``True`` prefers it (degrading with a warning
-        if registration fails), ``False`` forces the pickle transport.
-        Ignored without ``pool_jobs``.
     num_landmarks / label_strategy:
         Size and selection strategy of the landmark table built in
         ``"p2p"`` mode (see :func:`repro.labels.build_landmarks`).
@@ -210,7 +202,6 @@ class QueryEngine:
         partitioner: str = "contiguous",
         refine: bool = True,
         pool_jobs: int = 0,
-        use_shm: "bool | None" = None,
         num_landmarks: int = 16,
         label_strategy: str = "farthest",
         labels_path=None,
@@ -260,7 +251,6 @@ class QueryEngine:
         self.failure_threshold = failure_threshold
         self.cooldown = cooldown
         self._refine = bool(refine)
-        self._use_shm = use_shm
         self.pool_jobs = int(pool_jobs)
         self._sharded = None
         self._pool = None
@@ -285,8 +275,8 @@ class QueryEngine:
             "circuit_trips": 0,
             # pooled fast-path batches degraded to in-process execution
             "pool_fallbacks": 0,
-            # executed batches by the transport that produced them
-            "transports": {"local": 0, "shm": 0, "pickle": 0},
+            # executed batches by where they ran (worker pool or in process)
+            "transports": {"local": 0, "pool": 0},
             # concurrent half-open arrivals shed while a probe was in flight
             "half_open_shed": 0,
             # edge-update batches applied through apply_updates()
@@ -423,8 +413,7 @@ class QueryEngine:
                 if probe:
                     with self._circuit_lock:
                         self._probe_inflight = False
-            # Attribute the executed batch to the transport that produced it
-            # ("shm"/"pickle" from the pool, "local" for in-process).
+            # Attribute the executed batch to where it ran ("pool" or "local").
             transport = self._last_transport or "local"
             self._counters["transports"][transport] += 1
             if OBS.enabled:
@@ -736,7 +725,7 @@ class QueryEngine:
                 self._pool.close()
             self._pool = BatchPool(
                 graph, self.pool_jobs, algo=self.algo, param=self.param,
-                use_shm=self._use_shm, retries=self.retries,
+                retries=self.retries,
             )
 
     def _execute_resilient(self, sources: list[int], deadline_at) -> np.ndarray:
@@ -841,7 +830,7 @@ class QueryEngine:
         if self._pool is not None:
             try:
                 dist = self._pool.distances(sources)
-                self._last_transport = self._pool.transport
+                self._last_transport = "pool"
                 return dist
             except Exception as exc:
                 _LOG.warning(

@@ -28,9 +28,6 @@ Named injection sites wired through the stack:
                    entry) — a persistent fault degrades that entry to a
                    full recompute, never a wrong answer
 ``graph.load``     :func:`repro.graphs.io.load_npz`, before reading the file
-``shm.attach``     first attach of a shared-memory handle in a process (see
-                   :mod:`repro.runtime.shm`) — worker side, lazily on the
-                   first task, so an injected fault is a retryable failure
 ``server.admit``   every :meth:`ShortestPathServer.submit`, on the event-loop
                    thread, before admission control (``exception`` faults
                    surface typed to that one caller)

@@ -2,48 +2,32 @@
 
 Two pools live here, both routed through
 :class:`~repro.serving.supervisor.SupervisedPool` (timeouts, retries, crash
-rebuild) and both riding the zero-copy shared-memory plane
-(:mod:`repro.runtime.shm`) when the platform has it:
+rebuild):
 
 * :class:`SweepPool` — the sweep-grid orchestrator.  Each cell is one
-  metered SSSP run; the graph reaches workers **once** as an O(1)-picklable
-  :class:`~repro.runtime.shm.SharedGraphHandle` (all workers map the same
-  physical CSR pages, including every worker spawned by a supervised
-  rebuild) and each task payload stays ``(impl_key, param, source, seed,
-  machine)``.
+  metered SSSP run; the graph reaches each worker **once**, through the
+  pool initializer, and each task payload stays ``(impl_key, param, source,
+  seed, machine)``.
 * :class:`BatchPool` — the pooled multi-source distance engine.  A K-source
   batch is split into per-worker chunks of the dense
-  :func:`~repro.serving.fastpath.multi_source_distances` fast path; with the
-  shm plane the rows land directly in a preallocated shared float64 arena
-  (the task result is an O(1) ``(row_lo, count)`` marker), without it the
-  rows pickle home.  Distances are bit-identical either way — chunk lanes
-  are independent, and the fast path is pinned bit-identical to the scalar
-  algorithms.
+  :func:`~repro.serving.fastpath.multi_source_distances` fast path and each
+  chunk's rows pickle home.  Distances are bit-identical to the serial fast
+  path — chunk lanes are independent, and the fast path is pinned
+  bit-identical to the scalar algorithms.
 
-Transport selection is uniform: ``use_shm=None`` (default) probes
-:func:`~repro.runtime.shm.shm_available`; ``False`` forces the legacy
-pickle path; ``True`` demands shm and still degrades gracefully (with a
-warning and an ``shm.fallbacks`` count) if registration fails.  ``stats()``
-on both pools reports the chosen ``transport`` so benchmark rows and
-dashboards can attribute their numbers.
-
-Worker-side attaches fire the ``shm.attach`` fault site *lazily on the
-first task* (not in the pool initializer), so an injected attach fault
-surfaces as a supervised task failure that the retry budget absorbs — the
-chaos suite asserts recovery converges to bit-identical results.
+On Linux the pool forks, so a worker inherits the parent's CSR pages and
+only the ``(k, n)`` result rows cross the pipe; sharing memory instead
+would save nothing measurable (DESIGN.md §11).
 """
 
 from __future__ import annotations
 
-import logging
 import math
 
 import numpy as np
 
 from repro.graphs.csr import Graph
-from repro.obs import OBS
 from repro.runtime.machine import MachineModel
-from repro.runtime.shm import SharedGraphHandle, get_manager, shm_available
 from repro.serving.fastpath import multi_source_distances
 from repro.serving.faults import FaultPlan
 from repro.serving.supervisor import SupervisedPool
@@ -51,39 +35,17 @@ from repro.utils.errors import ParameterError
 
 __all__ = ["BatchPool", "SweepPool"]
 
-_LOG = logging.getLogger("repro.serving")
-
-# Worker-side globals installed by the pool initializer: either the one
-# graph this pool serves (pickle path) or the handle it attaches lazily.
+# Worker-side global installed by the pool initializer: the one graph this
+# pool serves.
 _WORKER_GRAPH: "Graph | None" = None
-_WORKER_HANDLE: "SharedGraphHandle | None" = None
 
 
-def _init_worker(graph_or_handle) -> None:
-    global _WORKER_GRAPH, _WORKER_HANDLE
-    if isinstance(graph_or_handle, SharedGraphHandle):
-        # Attach lazily in the first task so an injected ``shm.attach``
-        # fault is a retryable task failure, not an initializer crash loop.
-        _WORKER_HANDLE = graph_or_handle
-        _WORKER_GRAPH = None
-    else:
-        _WORKER_HANDLE = None
-        _WORKER_GRAPH = graph_or_handle
-        # Warm the lazily-built CSR properties once per worker instead of
-        # once per task.
-        graph_or_handle.degrees
-
-
-def _worker_graph() -> Graph:
-    """The worker's graph, attaching the shared CSR on first use."""
+def _init_worker(graph: Graph) -> None:
     global _WORKER_GRAPH
-    if _WORKER_GRAPH is None:
-        if _WORKER_HANDLE is None:  # pragma: no cover - initializer contract
-            raise RuntimeError("pool worker has no graph installed")
-        graph = _WORKER_HANDLE.attach()
-        graph.degrees
-        _WORKER_GRAPH = graph
-    return _WORKER_GRAPH
+    _WORKER_GRAPH = graph
+    # Warm the lazily-built CSR properties once per worker instead of once
+    # per task.
+    graph.degrees
 
 
 def _run_cell(impl_key: str, param, source: int, seed, machine: MachineModel) -> float:
@@ -91,7 +53,7 @@ def _run_cell(impl_key: str, param, source: int, seed, machine: MachineModel) ->
     from repro.analysis.runners import get_implementation, simulated_time
 
     impl = get_implementation(impl_key)
-    res = impl.run(_worker_graph(), int(source), param, seed=seed)
+    res = impl.run(_WORKER_GRAPH, int(source), param, seed=seed)
     return float(simulated_time(res, machine, impl.profile))
 
 
@@ -100,36 +62,7 @@ def _valid_time(value) -> bool:
     return isinstance(value, float) and math.isfinite(value) and value >= 0.0
 
 
-class _ShmGraphMixin:
-    """Shared transport plumbing: register the graph, remember the choice."""
-
-    def _setup_transport(self, graph: Graph, use_shm: "bool | None") -> object:
-        """Pick shm vs pickle; returns the initializer payload."""
-        self._shm_handle: "SharedGraphHandle | None" = None
-        self.transport = "pickle"
-        if use_shm is None:
-            use_shm = shm_available()
-        if use_shm:
-            try:
-                self._shm_handle = get_manager().share_graph(graph)
-                self.transport = "shm"
-                return self._shm_handle
-            except Exception as exc:
-                _LOG.warning(
-                    "shared-memory registration failed (%s); falling back to "
-                    "the pickle transport", exc,
-                )
-                if OBS.enabled:
-                    OBS.registry.inc("shm.fallbacks")
-        return graph
-
-    def _teardown_transport(self) -> None:
-        if self._shm_handle is not None:
-            get_manager().release_graph(self._shm_handle)
-            self._shm_handle = None
-
-
-class SweepPool(_ShmGraphMixin):
+class SweepPool:
     """A persistent, supervised worker pool bound to one graph.
 
     Use as a context manager::
@@ -141,8 +74,7 @@ class SweepPool(_ShmGraphMixin):
     the graph warm), recovers from worker crashes/hangs transparently (see
     :class:`~repro.serving.supervisor.SupervisedPool`), and shuts down with
     the context.  ``stats()`` exposes the supervision counters (rebuilds,
-    retries, timeouts) plus the graph ``transport`` (``"shm"`` when workers
-    map the parent's CSR segments, ``"pickle"`` otherwise).
+    retries, timeouts).
     """
 
     def __init__(
@@ -156,17 +88,15 @@ class SweepPool(_ShmGraphMixin):
         seed: int = 0,
         fault_plan: "FaultPlan | None" = None,
         collect_metrics: bool = False,
-        use_shm: "bool | None" = None,
     ) -> None:
         if jobs < 2:
             raise ParameterError(f"SweepPool needs jobs >= 2, got {jobs} (use the serial path)")
         self.graph = graph
         self.jobs = jobs
-        payload = self._setup_transport(graph, use_shm)
         self._sup = SupervisedPool(
             jobs,
             initializer=_init_worker,
-            initargs=(payload,),
+            initargs=(graph,),
             timeout=timeout,
             retries=retries,
             backoff=backoff,
@@ -198,14 +128,11 @@ class SweepPool(_ShmGraphMixin):
         return self._sup.health_probe(timeout)
 
     def stats(self) -> dict:
-        """Supervision counters plus the graph transport in use."""
-        out = self._sup.stats()
-        out["transport"] = self.transport
-        return out
+        """Supervision counters (see :meth:`SupervisedPool.stats`)."""
+        return self._sup.stats()
 
     def close(self) -> None:
         self._sup.close()
-        self._teardown_transport()
 
     def __enter__(self) -> "SweepPool":
         return self
@@ -219,31 +146,24 @@ class SweepPool(_ShmGraphMixin):
 # --------------------------------------------------------------------------- #
 
 
-def _run_batch_chunk(algo, param, sources, row_lo, arena_handle):
+def _run_batch_chunk(algo, param, sources, row_lo):
     """One worker task: fast-path distances for a contiguous source chunk.
 
-    Pure function of its arguments (rewriting the same arena rows with the
-    same values), so supervised re-execution after a crash, hang, or
-    rejected payload is idempotent.  With an arena the rows are written in
-    place and only an O(1) marker returns; without one the rows pickle home.
+    Returns ``(row_lo, rows)`` so the parent can check the block against the
+    chunk it asked for.  A pure function of its arguments, so supervised
+    re-execution after a crash, hang, or rejected payload is idempotent.
     """
-    graph = _worker_graph()
-    rows = multi_source_distances(graph, sources, algo=algo, param=param)
-    if arena_handle is None:
-        return rows
-    arena = arena_handle.attach()
-    arena[row_lo : row_lo + len(sources)] = rows
-    return (int(row_lo), len(sources))
+    rows = multi_source_distances(_WORKER_GRAPH, sources, algo=algo, param=param)
+    return (int(row_lo), rows)
 
 
-class BatchPool(_ShmGraphMixin):
-    """Persistent pooled multi-source engine: chunked fast path + shm arena.
+class BatchPool:
+    """Persistent pooled multi-source engine: the fast path, chunked.
 
     Parameters
     ----------
     graph:
-        The CSR graph to serve (registered once in shared memory when the
-        plane is available).
+        The CSR graph to serve (installed once per worker).
     jobs:
         Worker process count (>= 2; the serial fast path needs no pool).
     algo, param:
@@ -254,9 +174,6 @@ class BatchPool(_ShmGraphMixin):
         Sources per task.  Default splits each batch evenly across ``jobs``
         (one task per worker), the latency-optimal shape when chunks cost
         roughly the same.
-    use_shm:
-        ``None`` (auto-probe), ``True`` (prefer shm, degrade on failure) or
-        ``False`` (force the pickle transport).
     timeout, retries, seed, fault_plan:
         Supervision knobs, forwarded to
         :class:`~repro.serving.supervisor.SupervisedPool`.
@@ -270,7 +187,6 @@ class BatchPool(_ShmGraphMixin):
         algo: str = "bf",
         param=None,
         chunk: "int | None" = None,
-        use_shm: "bool | None" = None,
         timeout: "float | None" = None,
         retries: int = 2,
         seed: int = 0,
@@ -288,58 +204,37 @@ class BatchPool(_ShmGraphMixin):
         self.algo = algo
         self.param = param
         self.chunk = chunk
-        self._arena_handle = None
-        self._arena: "np.ndarray | None" = None
-        payload = self._setup_transport(graph, use_shm)
         self._sup = SupervisedPool(
             jobs,
             initializer=_init_worker,
-            initargs=(payload,),
+            initargs=(graph,),
             timeout=timeout,
             retries=retries,
             seed=seed,
             fault_plan=fault_plan,
         )
 
-    def _ensure_arena(self, rows: int) -> None:
-        """Grow the shared result arena to hold ``rows`` distance vectors."""
-        if self._arena is not None and self._arena.shape[0] >= rows:
-            return
-        mgr = get_manager()
-        if self._arena_handle is not None:
-            mgr.free(self._arena_handle)
-        self._arena_handle, self._arena = mgr.alloc((rows, self.graph.n), "float64")
-
     def _chunk_tasks(self, sources: "list[int]"):
         K = len(sources)
         size = self.chunk or max(1, -(-K // self.jobs))
         return [
-            (self.algo, self.param, sources[lo : lo + size], lo, self._arena_handle)
+            (self.algo, self.param, sources[lo : lo + size], lo)
             for lo in range(0, K, size)
         ]
 
     def _valid_chunk(self, payload, expected: "dict[int, int]") -> bool:
         """Parent-side payload validation (also catches injected corruption).
 
-        Pickle transport: a full ``(k, n)`` row block.  Shm transport: the
-        ``(row_lo, count)`` marker, validated against the arena rows the
-        worker claims to have written.
+        A valid payload is ``(row_lo, rows)`` for a chunk this batch asked
+        for, with exactly that chunk's row count, ``n`` columns, no NaN and
+        no negative distance.  Anything else is rejected and re-executed.
         """
-        n = self.graph.n
-        if isinstance(payload, np.ndarray):
-            if payload.ndim != 2 or payload.shape[1] != n:
-                return False
-            rows = payload
-        elif (
-            isinstance(payload, tuple)
-            and len(payload) == 2
-            and self._arena is not None
-        ):
-            lo, k = payload
-            if not (isinstance(lo, int) and expected.get(lo) == k):
-                return False
-            rows = self._arena[lo : lo + k]
-        else:
+        if not (isinstance(payload, tuple) and len(payload) == 2):
+            return False
+        lo, rows = payload
+        if not (isinstance(lo, int) and isinstance(rows, np.ndarray)) or lo not in expected:
+            return False
+        if rows.shape != (expected[lo], self.graph.n):
             return False
         return not np.isnan(rows).any() and bool((rows >= 0).all())
 
@@ -350,40 +245,28 @@ class BatchPool(_ShmGraphMixin):
         algorithms) for any chunking: lanes never interact across chunks.
         """
         sources = [int(s) for s in sources]
-        K = len(sources)
-        if K == 0:
+        if not sources:
             return np.zeros((0, self.graph.n))
-        if self.transport == "shm":
-            self._ensure_arena(K)
         tasks = self._chunk_tasks(sources)
-        expected = {lo: len(ss) for _, _, ss, lo, _ in tasks}
+        expected = {lo: len(ss) for _, _, ss, lo in tasks}
         payloads = self._sup.map_supervised(
             _run_batch_chunk,
             tasks,
             validate=lambda p: self._valid_chunk(p, expected),
         )
-        if self._arena is not None and self.transport == "shm":
-            # Copy out: the arena is reused by the next batch.
-            return np.array(self._arena[:K], copy=True)
-        return payloads[0] if len(payloads) == 1 else np.vstack(payloads)
+        blocks = [rows for _, rows in payloads]
+        return blocks[0] if len(blocks) == 1 else np.vstack(blocks)
 
     def health_probe(self, timeout: float = 5.0) -> bool:
         """True when a worker answers a trivial round-trip within ``timeout``."""
         return self._sup.health_probe(timeout)
 
     def stats(self) -> dict:
-        """Supervision counters plus the result transport in use."""
-        out = self._sup.stats()
-        out["transport"] = self.transport
-        return out
+        """Supervision counters (see :meth:`SupervisedPool.stats`)."""
+        return self._sup.stats()
 
     def close(self) -> None:
         self._sup.close()
-        if self._arena_handle is not None:
-            get_manager().free(self._arena_handle)
-            self._arena_handle = None
-            self._arena = None
-        self._teardown_transport()
 
     def __enter__(self) -> "BatchPool":
         return self

@@ -7,7 +7,7 @@ single-source query; the server coalesces them into lockstep batches —
 flushing as soon as the worker is free, at most **B** requests at a time
 (like a stepping round, it takes whatever is ready and never waits at a
 barrier for more) — and runs each batch through the existing
-:class:`~repro.serving.engine.QueryEngine` (fast / pooled-shm / sharded
+:class:`~repro.serving.engine.QueryEngine` (fast / pooled / sharded
 paths) on a dedicated worker thread, so the event loop never blocks on
 kernel work.
 

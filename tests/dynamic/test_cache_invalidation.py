@@ -22,7 +22,6 @@ from repro.core.policies import RhoPolicy
 from repro.dynamic import UpdateBatch, apply_resolved, incremental_sssp, resolve_updates
 from repro.graphs import rmat
 from repro.graphs.interop import to_scipy_sparse
-from repro.runtime import leaked_segments
 from repro.serving import QueryEngine, ResultCache
 from repro.serving.fastpath import multi_source_distances
 
@@ -128,7 +127,7 @@ def test_chained_updates_only_latest_fingerprint_lives():
     [
         ({}, lambda st: st["transports"]["local"]),
         ({"shards": 3}, lambda st: st["sharded_execs"]),
-        ({"pool_jobs": 2}, lambda st: st["transports"]["shm"] + st["transports"]["pickle"]),
+        ({"pool_jobs": 2}, lambda st: st["transports"]["pool"]),
     ],
     ids=["local", "sharded", "pooled"],
 )
@@ -153,4 +152,3 @@ def test_update_rebinds_execution_plane(plane, plane_batches):
     assert after["executed"] - before["executed"] == len(cold)
     assert plane_batches(after) == plane_batches(before) + 1
     assert after["degraded"] == 0 and after["pool_fallbacks"] == 0
-    assert leaked_segments() == []

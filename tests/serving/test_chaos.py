@@ -218,12 +218,9 @@ class TestChaosMetrics:
                 pool.simulated_times("PQ-rho", 64, [0, 1, 2, 3], machine)
                 st = pool.stats()
         counters = registry.snapshot()["counters"]
-        # Every supervision counter mirrors into serving.pool.* exactly
-        # (stats() also carries the non-numeric transport label, which has
-        # no counter to mirror).
+        # Every supervision counter mirrors into serving.pool.* exactly.
         for key, value in st.items():
-            if isinstance(value, (int, float)):
-                assert counters.get(f"serving.pool.{key}", 0) == value
+            assert counters.get(f"serving.pool.{key}", 0) == value
         # The plan injects exactly one fault, so all 4 cells still complete
         # and the recovery events are the plan's, precisely.
         assert counters["serving.pool.submitted"] == 4

@@ -434,16 +434,11 @@ class TestServingCommands:
     def test_serve_drains_on_signal_with_sigint_ignored(self, graph_file, stop):
         # Started in the background from a non-interactive shell, a server
         # inherits SIGINT ignored; SIGTERM, and SIGINT too, must still drain
-        # it — pooled shared-memory workers included — and exit 0 without
-        # leaking a segment.
+        # it — pooled workers included — and exit 0.
         import signal
 
-        from repro.runtime.shm import SHM_PREFIX, leaked_segments, shm_available
-
-        if not shm_available():
-            pytest.skip("no shared memory")
         proc, port = _start_server(
-            graph_file, "--algo", "bf", "--jobs", "2", "--shm",
+            graph_file, "--algo", "bf", "--jobs", "2",
             preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_IGN),
         )
         try:
@@ -453,4 +448,3 @@ class TestServingCommands:
             err = _stop_server(proc, getattr(signal, stop))
         assert proc.returncode == 0, err
         assert "interrupted; server stopped" in err
-        assert leaked_segments(f"{SHM_PREFIX}-{proc.pid}-") == []
